@@ -5,44 +5,20 @@ hypercubes and arbitrary graphs: coherent hopping plus pure dephasing,
 uniform recombination loss and irreversible capture at a trap site. The
 central quantity is the transport efficiency, the total probability that
 the excitation is captured rather than lost.
+
+The package namespace holds the names of the README's library example;
+everything else is imported from its submodule (``enaqt.dynamics``,
+``enaqt.ensemble``, ``enaqt.analysis``, ``enaqt.graph``, ``enaqt.model``).
 """
 
-from .analysis import (DisorderGain, InvariantSubspace, efficiency_upper_bound,
-                       invariant_subspace, max_disorder_gain)
-from .dynamics import (EfficiencyResult, IntegrationError, SolverError,
-                       Trajectory, TrapObservables, build_liouvillian,
-                       compute_efficiency, efficiency_liouvillian,
-                       efficiency_timestepping, master_equation_rhs, propagate,
-                       propagate_pure, record_trap_observables)
-from .ensemble import (DEFAULT_MASTER_SEED, SweepGrid, SweepRow, SweepTable,
-                       cell_seed, default_dephasing_grid, default_disorder_grid,
-                       dephasing_profile, log_dephasing_grid, run_point,
-                       run_sweep)
-from .graph import (BINARY_TREE, CUSTOM, HYPERCUBE, Topology, adjacency_matrix,
-                    build_binary_tree, build_custom, build_hypercube, leaves,
-                    load_edge_list, neighbors, root)
-from .model import (DisorderSpec, LEAF_MIXTURE, SINGLE_SITE, TransportModel,
-                    UNIFORM_MIXTURE, apply_dephasing,
-                    assemble_effective_hamiltonian,
-                    assemble_system_hamiltonian, check_density_matrix,
-                    initial_state, sample_site_energies)
+from .dynamics import efficiency_liouvillian
+from .ensemble import SweepGrid, run_sweep
+from .graph import build_binary_tree
+from .model import LEAF_MIXTURE, TransportModel, initial_state
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BINARY_TREE", "CUSTOM", "DEFAULT_MASTER_SEED", "DisorderGain",
-    "DisorderSpec", "EfficiencyResult", "HYPERCUBE", "IntegrationError",
-    "InvariantSubspace", "LEAF_MIXTURE", "SINGLE_SITE", "SolverError",
-    "SweepGrid", "SweepRow", "SweepTable", "Topology", "Trajectory",
-    "TransportModel", "TrapObservables", "UNIFORM_MIXTURE",
-    "adjacency_matrix", "apply_dephasing", "assemble_effective_hamiltonian",
-    "assemble_system_hamiltonian", "build_binary_tree", "build_custom",
-    "build_hypercube", "build_liouvillian", "cell_seed", "check_density_matrix",
-    "compute_efficiency", "default_dephasing_grid", "default_disorder_grid",
-    "dephasing_profile", "efficiency_liouvillian", "efficiency_timestepping",
-    "efficiency_upper_bound", "initial_state", "invariant_subspace", "leaves",
-    "load_edge_list", "log_dephasing_grid", "master_equation_rhs",
-    "max_disorder_gain", "neighbors", "propagate", "propagate_pure",
-    "record_trap_observables", "root", "run_point", "run_sweep",
-    "sample_site_energies",
+    "LEAF_MIXTURE", "SweepGrid", "TransportModel", "build_binary_tree",
+    "efficiency_liouvillian", "initial_state", "run_sweep",
 ]

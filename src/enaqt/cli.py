@@ -38,8 +38,9 @@ def _open_out(path):
             yield fh
 
 
-def _add_graph_args(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--graph", required=required,
+def _add_problem_args(p: argparse.ArgumentParser) -> None:
+    # --graph may also come from a sweep config, so _build_topology checks it
+    p.add_argument("--graph",
                    choices=[graph.BINARY_TREE, graph.HYPERCUBE, graph.CUSTOM],
                    help="transport graph family")
     p.add_argument("--generations", type=int,
@@ -47,36 +48,33 @@ def _add_graph_args(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--dimension", type=int, help="hypercube dimension (d >= 1)")
     p.add_argument("--edge-file",
                    help="custom graph file: first line N, then 0-based 'i j' lines")
-
-
-def _add_model_args(p: argparse.ArgumentParser, defaults: bool = True) -> None:
-    # with defaults=False the values fall back to the sweep config file
     p.add_argument("--init", choices=["leaves", "uniform", "site"],
                    help="initial state: statistical mixture of tree leaves, "
                         "uniform mixture of all sites, or a single site "
                         "(default: leaves on trees, uniform otherwise)")
     p.add_argument("--init-site", type=int,
                    help="0-based site index for --init site")
-    p.add_argument("--trap", default="root" if defaults else None,
-                   help="trap placement: 'root' (trees) or a 0-based site index")
-    p.add_argument("--kappa", type=float, default=1.0 if defaults else None,
+    p.add_argument("--trap",
+                   help="trap placement: 'root' (trees) or a 0-based site index "
+                        "(default: root on trees, 0 otherwise)")
+    p.add_argument("--kappa", type=float, default=1.0,
                    help="trapping rate kappa >= 0 (units of V, default 1)")
-    p.add_argument("--gamma-recomb", type=float, default=0.01 if defaults else None,
+    p.add_argument("--gamma-recomb", type=float, default=0.01,
                    help="uniform recombination rate Gamma >= 0 (default 0.01)")
-
-
-def _add_run_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dephasing", type=float, default=0.0,
-                   help="dephasing rate gamma_phi >= 0 (default 0)")
-    p.add_argument("--disorder", type=float, default=0.0,
-                   help="site-energy disorder standard deviation (default 0)")
-    p.add_argument("--realization", type=int, default=0,
-                   help="disorder realization index (default 0)")
     p.add_argument("--seed", type=int, default=ensemble.DEFAULT_MASTER_SEED,
                    help=f"master seed (default {ensemble.DEFAULT_MASTER_SEED})")
 
 
+def _add_draw_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--disorder", type=float, default=0.0,
+                   help="site-energy disorder standard deviation (default 0)")
+    p.add_argument("--realization", type=int, default=0,
+                   help="disorder realization index (default 0)")
+
+
 def _build_topology(args, parser) -> graph.Topology:
+    if args.graph is None:
+        parser.error("--graph is required")
     if args.graph == graph.BINARY_TREE:
         if args.generations is None:
             parser.error("--graph binary-tree requires --generations")
@@ -95,6 +93,8 @@ def _build_topology(args, parser) -> graph.Topology:
 
 
 def _resolve_trap(args, top: graph.Topology, parser) -> int:
+    if args.trap is None:
+        return graph.root(top) if top.kind == graph.BINARY_TREE else 0
     if args.trap == "root":
         if top.kind != graph.BINARY_TREE:
             parser.error("--trap root is only defined for binary trees; "
@@ -135,31 +135,31 @@ def _check_rates(args, parser) -> None:
         parser.error("--dephasing must be >= 0")
     if getattr(args, "disorder", 0.0) < 0:
         parser.error("--disorder must be >= 0")
-    if getattr(args, "seed", 0) < 0:
+    if args.seed < 0:
         parser.error("--seed must be >= 0")
 
 
-def _sampled_model(top, trap, args) -> model.TransportModel:
-    """Model with energies drawn exactly as the matching sweep cell would."""
-    spec = model.DisorderSpec(
-        std_dev=args.disorder,
-        master_seed=ensemble.cell_seed(args.seed, args.disorder, args.dephasing))
-    energies = model.sample_site_energies(spec, args.realization, top.n_sites)
-    return model.TransportModel(
-        topology=top, site_energies=tuple(energies), trap_site=trap,
-        trap_rate=args.kappa, recomb_rate=args.gamma_recomb,
-        dephasing_rate=args.dephasing)
-
-
-def _cmd_single(args, parser) -> int:
+def _grid(args, parser, disorder_values, dephasing_values,
+          n_realizations: int = 1) -> ensemble.SweepGrid:
+    """The problem the flags describe, over the given (disorder x dephasing) grid."""
     top = _build_topology(args, parser)
     trap = _resolve_trap(args, top, parser)
     _check_rates(args, parser)
     kind, site = _resolve_init(args, top, parser)
-    mdl = _sampled_model(top, trap, args)
-    rho0 = model.initial_state(top, kind, site)
+    return ensemble.SweepGrid(
+        topology=top, disorder_values=disorder_values,
+        dephasing_values=dephasing_values, n_realizations=n_realizations,
+        initial_kind=kind, initial_site=site, trap_site=trap,
+        trap_rate=args.kappa, recomb_rate=args.gamma_recomb,
+        master_seed=args.seed)
+
+
+def _cmd_single(args, parser) -> int:
+    grid = _grid(args, parser, (args.disorder,), (args.dephasing,))
     res = dynamics.compute_efficiency(
-        rho0, mdl, solver=args.solver,
+        grid.initial_state(),
+        grid.model(args.disorder, args.dephasing, args.realization),
+        solver=args.solver,
         **({"trace_tol": args.trace_tol} if args.solver == "timestepping" else {}))
     print(f"eta = {_fmt(res.eta)}")
     print(f"eta_loss = {_fmt(res.eta_loss)}")
@@ -177,54 +177,16 @@ def _cmd_single(args, parser) -> int:
 
 
 def _cmd_sweep(args, parser) -> int:
-    cfg = ensemble.load_sweep_config(args.config) if args.config else {}
-
-    def pick(flag_value, key, cast, fallback):
-        if flag_value is not None:
-            return flag_value
-        if key in cfg:
-            return cast(cfg[key])
-        return fallback
-
-    args.graph = pick(args.graph, "graph", str, None)
-    if args.graph is None:
-        parser.error("sweep needs --graph (flag or config)")
-    args.generations = pick(args.generations, "generations", int, None)
-    args.dimension = pick(args.dimension, "dimension", int, None)
-    args.edge_file = pick(args.edge_file, "edge_file", str, None)
-    top = _build_topology(args, parser)
-
-    args.trap = pick(args.trap, "trap", str, "root" if top.kind == graph.BINARY_TREE else "0")
-    trap = _resolve_trap(args, top, parser)
-    args.init = pick(args.init, "init", str, None)
-    args.init_site = pick(args.init_site, "init_site", int, None)
-    kind, site = _resolve_init(args, top, parser)
-    args.kappa = pick(args.kappa, "kappa", float, 1.0)
-    args.gamma_recomb = pick(args.gamma_recomb, "gamma_recomb", float, 0.01)
-    args.seed = pick(args.seed, "seed", int, ensemble.DEFAULT_MASTER_SEED)
-    _check_rates(args, parser)
-
-    disorder = pick(args.disorder_grid, "disorder_values", str, None)
-    dephasing = pick(args.dephasing_grid, "dephasing_values", str, None)
-    disorder_values = (ensemble.parse_grid_values(disorder) if disorder
-                       else ensemble.default_disorder_grid())
-    if dephasing:
-        dephasing_values = ensemble.parse_grid_values(dephasing)
+    disorder_values = (ensemble.parse_grid_values(args.disorder_grid)
+                       if args.disorder_grid else ensemble.default_disorder_grid())
+    if args.dephasing_grid:
+        dephasing_values = ensemble.parse_grid_values(args.dephasing_grid)
     elif args.log_dephasing:
         dephasing_values = ensemble.log_dephasing_grid()
     else:
         dephasing_values = ensemble.default_dephasing_grid()
-    n_real = pick(args.realizations, "n_realizations", int, 100)
-    solver = pick(args.solver, "solver", str, "liouvillian")
-    workers = pick(args.workers, "workers", int, 1)
-
-    grid = ensemble.SweepGrid(
-        topology=top, disorder_values=disorder_values,
-        dephasing_values=dephasing_values, n_realizations=n_real,
-        initial_kind=kind, initial_site=site, trap_site=trap,
-        trap_rate=args.kappa, recomb_rate=args.gamma_recomb,
-        master_seed=args.seed)
-    table = ensemble.run_sweep(grid, n_workers=workers, solver=solver)
+    grid = _grid(args, parser, disorder_values, dephasing_values, args.realizations)
+    table = ensemble.run_sweep(grid, n_workers=args.workers, solver=args.solver)
     with _open_out(args.output) as fh:
         table.to_csv(fh)
     if table.failures:
@@ -236,18 +198,12 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _cmd_bound(args, parser) -> int:
-    top = _build_topology(args, parser)
-    trap = _resolve_trap(args, top, parser)
-    _check_rates(args, parser)
-    kind, site = _resolve_init(args, top, parser)
-    spec = model.DisorderSpec(
-        std_dev=args.disorder,
-        master_seed=ensemble.cell_seed(args.seed, args.disorder, 0.0))
-    energies = model.sample_site_energies(spec, args.realization, top.n_sites)
-    h = model.assemble_system_hamiltonian(top, energies)
-    sub = analysis.invariant_subspace(h, trap)
-    rho0 = model.initial_state(top, kind, site)
-    bound = analysis.efficiency_upper_bound(sub, rho0)
+    # the bound is a zero-dephasing statement: energies of cell (disorder, 0)
+    grid = _grid(args, parser, (args.disorder,), (0.0,))
+    mdl = grid.model(args.disorder, 0.0, args.realization)
+    h = model.assemble_system_hamiltonian(grid.topology, mdl.site_energies)
+    sub = analysis.invariant_subspace(h, grid.trap_site)
+    bound = analysis.efficiency_upper_bound(sub, grid.initial_state())
     print(f"dimension = {sub.dimension}")
     print(f"bound = {_fmt(bound)}")
     with _open_out(args.output) as fh:
@@ -257,20 +213,21 @@ def _cmd_bound(args, parser) -> int:
     return 0
 
 
-def _trajectory_observables(top, trap, args, kind, site, times):
-    """Trap observables, ensemble-averaged when realizations > 1."""
-    nbrs = graph.neighbors(top, trap)[:2]
+def _trajectory_observables(grid, args, times):
+    """Trap observables, ensemble-averaged when realizations > 1, and the
+    last trajectory."""
+    trap = grid.trap_site
+    nbrs = graph.neighbors(grid.topology, trap)[:2]
+    rho0 = grid.initial_state()
     pop = np.zeros(len(times))
     im1 = np.zeros(len(times))
     im2 = np.zeros(len(times))
     trace = np.zeros(len(times))
     n_real = args.realizations
     for r in range(n_real):
-        run_args = argparse.Namespace(**vars(args))
         # ensemble averages run draws 0..n-1; a single run honors --realization
-        run_args.realization = r if n_real > 1 else args.realization
-        mdl = _sampled_model(top, trap, run_args)
-        rho0 = model.initial_state(top, kind, site)
+        mdl = grid.model(args.disorder, args.dephasing,
+                         r if n_real > 1 else args.realization)
         traj = dynamics.propagate(rho0, mdl, times[-1], times=times)
         obs = dynamics.record_trap_observables(traj, trap, nbrs)
         pop += obs.population
@@ -279,7 +236,7 @@ def _trajectory_observables(top, trap, args, kind, site, times):
         if len(nbrs) > 1:
             im2 += obs.coherence_im[1]
         trace += np.einsum("tii->t", traj.states).real
-    return pop / n_real, im1 / n_real, im2 / n_real, trace / n_real
+    return pop / n_real, im1 / n_real, im2 / n_real, trace / n_real, traj
 
 
 def _dump_full_state(path, traj) -> None:
@@ -299,10 +256,7 @@ def _dump_full_state(path, traj) -> None:
 
 
 def _cmd_trajectory(args, parser) -> int:
-    top = _build_topology(args, parser)
-    trap = _resolve_trap(args, top, parser)
-    _check_rates(args, parser)
-    kind, site = _resolve_init(args, top, parser)
+    grid = _grid(args, parser, (args.disorder,), (args.dephasing,))
     if args.t_final <= 0:
         parser.error("--t-final must be > 0")
     if args.points < 2:
@@ -318,13 +272,14 @@ def _cmd_trajectory(args, parser) -> int:
                          "(pure states do not close under dephasing)")
         if args.realizations != 1:
             parser.error("--pure does not support ensemble averaging")
-        if kind != model.SINGLE_SITE:
+        if grid.initial_kind != model.SINGLE_SITE:
             parser.error("--pure requires --init site")
-        mdl = _sampled_model(top, trap, args)
-        psi0 = np.zeros(top.n_sites, dtype=complex)
-        psi0[site] = 1.0
+        mdl = grid.model(args.disorder, args.dephasing, args.realization)
+        psi0 = np.zeros(grid.topology.n_sites, dtype=complex)
+        psi0[grid.initial_site] = 1.0
         traj = dynamics.propagate_pure(psi0, mdl, args.t_final, times=times)
-        nbrs = graph.neighbors(top, trap)[:2]
+        trap = grid.trap_site
+        nbrs = graph.neighbors(grid.topology, trap)[:2]
         with _open_out(args.output) as fh:
             fh.write(PURE_CSV_HEADER + "\n")
             for k, t in enumerate(traj.times):
@@ -336,12 +291,9 @@ def _cmd_trajectory(args, parser) -> int:
         if args.full_state:
             _dump_full_state(args.full_state, traj)
         return 0
-    if args.full_state:
-        mdl = _sampled_model(top, trap, args)
-        rho0 = model.initial_state(top, kind, site)
-        traj = dynamics.propagate(rho0, mdl, times[-1], times=times)
+    pop, im1, im2, trace, traj = _trajectory_observables(grid, args, times)
+    if args.full_state:  # one draw: --full-state requires --realizations 1
         _dump_full_state(args.full_state, traj)
-    pop, im1, im2, trace = _trajectory_observables(top, trap, args, kind, site, times)
     with _open_out(args.output) as fh:
         fh.write(TRAJECTORY_CSV_HEADER + "\n")
         for k, t in enumerate(times):
@@ -373,9 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("single", help="one efficiency evaluation")
-    _add_graph_args(p)
-    _add_model_args(p)
-    _add_run_args(p)
+    _add_problem_args(p)
+    _add_draw_args(p)
+    p.add_argument("--dephasing", type=float, default=0.0,
+                   help="dephasing rate gamma_phi >= 0 (default 0)")
     p.add_argument("--solver", choices=["liouvillian", "timestepping"],
                    default="liouvillian")
     p.add_argument("--trace-tol", type=float, default=dynamics.DEFAULT_TRACE_TOL,
@@ -384,32 +337,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="(disorder x dephasing) ensemble sweep")
     p.add_argument("--config", help="key = value file; flags override it")
-    _add_graph_args(p, required=False)
-    _add_model_args(p, defaults=False)
+    _add_problem_args(p)
     p.add_argument("--disorder-grid", help="grid spec: a:b:step or comma list")
     p.add_argument("--dephasing-grid",
                    help="grid spec: a:b:step, log:a:b:count, or comma list")
     p.add_argument("--log-dephasing", action="store_true",
                    help="use the log-spaced dephasing grid 1e-2..1e2 (25 points)")
-    p.add_argument("--realizations", type=int, default=None,
+    p.add_argument("--realizations", type=int, default=100,
                    help="disorder realizations per cell (default 100)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--solver", choices=["liouvillian", "timestepping"], default=None)
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--solver", choices=["liouvillian", "timestepping"],
+                   default="liouvillian")
+    p.add_argument("--workers", type=int, default=1,
                    help="parallel worker processes (default 1)")
     p.add_argument("--output", default="-", help="sweep CSV path (default stdout)")
 
-    p = sub.add_parser("bound", help="invariant-subspace efficiency bound")
-    _add_graph_args(p)
-    _add_model_args(p)
-    _add_run_args(p)
+    p = sub.add_parser("bound", help="invariant-subspace efficiency bound "
+                                     "(zero dephasing)")
+    _add_problem_args(p)
+    _add_draw_args(p)
     p.add_argument("--output", default="-",
                    help="cluster-structure CSV (default stdout)")
 
     p = sub.add_parser("trajectory", help="time series of trap observables")
-    _add_graph_args(p)
-    _add_model_args(p)
-    _add_run_args(p)
+    _add_problem_args(p)
+    _add_draw_args(p)
+    p.add_argument("--dephasing", type=float, default=0.0,
+                   help="dephasing rate gamma_phi >= 0 (default 0)")
     p.add_argument("--t-final", type=float, default=50.0,
                    help="time window in 1/V units (default 50)")
     p.add_argument("--points", type=int, default=2000,
@@ -440,11 +393,27 @@ _COMMANDS = {
     "delta-max": _cmd_delta_max,
 }
 
+# sweep config keys whose flag is not "--" + the key with "-" for "_"
+_CONFIG_FLAGS = {"disorder_values": "--disorder-grid",
+                 "dephasing_values": "--dephasing-grid",
+                 "n_realizations": "--realizations"}
+
+
+def _config_flags(path) -> list[str]:
+    """The lines of a sweep config file as flags."""
+    return [f"{_CONFIG_FLAGS.get(key, '--' + key.replace('_', '-'))}={value}"
+            for key, value in ensemble.load_sweep_config(path).items()]
+
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # config lines go before the user's flags, so a flag wins
+            args = parser.parse_args(
+                [args.command, *_config_flags(args.config), *argv[1:]])
         return _COMMANDS[args.command](args, parser)
     except (ValueError, KeyError, OSError, dynamics.SolverError,
             dynamics.IntegrationError) as exc:

@@ -85,21 +85,6 @@ class Trajectory:
         return self.states.ndim == 2
 
 
-def master_equation_rhs(rho: np.ndarray, model: TransportModel,
-                        hamiltonian: np.ndarray | None = None) -> np.ndarray:
-    """Right-hand side of the master equation at state rho."""
-    rho = np.asarray(rho, dtype=complex)
-    n = model.n_sites
-    if rho.shape != (n, n):
-        raise ValueError(f"rho shape {rho.shape} does not match {n} sites")
-    h = assemble_effective_hamiltonian(model) if hamiltonian is None else hamiltonian
-    out = -1j * (h @ rho - rho @ h.conj().T)
-    rate = model.coherence_damping_rate
-    if rate:
-        out += apply_dephasing(rho, rate)
-    return out
-
-
 def _vec(mat: np.ndarray) -> np.ndarray:
     return mat.flatten(order="F")
 
@@ -119,12 +104,28 @@ def _rhs_closure(model: TransportModel):
         rho = _unvec(y, n)
         out = -1j * (h @ rho - rho @ hdag)
         if rate:
-            deph = -rate * rho
-            np.fill_diagonal(deph, 0.0)
-            out += deph
+            out += apply_dephasing(rho, rate)
         return _vec(out)
 
     return rhs
+
+
+def master_equation_rhs(rho: np.ndarray, model: TransportModel) -> np.ndarray:
+    """Right-hand side of the master equation at state rho."""
+    rho = np.asarray(rho, dtype=complex)
+    n = model.n_sites
+    if rho.shape != (n, n):
+        raise ValueError(f"rho shape {rho.shape} does not match {n} sites")
+    return _unvec(_rhs_closure(model)(0.0, _vec(rho)), n)
+
+
+def _integrate(rhs, t_final: float, y0: np.ndarray, **kw):
+    """RK45 from 0 to t_final; IntegrationError if the integrator fails."""
+    sol = solve_ivp(rhs, (0.0, t_final), y0, method="RK45", **kw)
+    if sol.status < 0:
+        t_reached = sol.t[-1] if len(sol.t) else 0.0
+        raise IntegrationError(f"integration failed: {sol.message}", t_reached)
+    return sol
 
 
 def propagate(rho0: np.ndarray, model: TransportModel, t_final: float,
@@ -141,13 +142,9 @@ def propagate(rho0: np.ndarray, model: TransportModel, t_final: float,
     n = model.n_sites
     if times is None:
         times = np.linspace(0.0, t_final, n_points)
-    rhs = _rhs_closure(model)
-    sol = solve_ivp(rhs, (0.0, t_final), _vec(np.asarray(rho0, dtype=complex)),
-                    method="RK45", t_eval=np.asarray(times, dtype=float),
-                    rtol=rtol, atol=atol)
-    if sol.status < 0:
-        t_reached = sol.t[-1] if len(sol.t) else 0.0
-        raise IntegrationError(f"integration failed: {sol.message}", t_reached)
+    sol = _integrate(_rhs_closure(model), t_final,
+                     _vec(np.asarray(rho0, dtype=complex)),
+                     t_eval=np.asarray(times, dtype=float), rtol=rtol, atol=atol)
     states = np.moveaxis(sol.y.reshape((n, n, -1), order="F"), 2, 0)
     states = 0.5 * (states + states.conj().transpose(0, 2, 1))
     return Trajectory(times=sol.t.copy(), states=states)
@@ -177,11 +174,8 @@ def propagate_pure(psi0: np.ndarray, model: TransportModel, t_final: float,
     def rhs(t, y):
         return -1j * (h @ y)
 
-    sol = solve_ivp(rhs, (0.0, t_final), psi0, method="RK45",
-                    t_eval=np.asarray(times, dtype=float), rtol=rtol, atol=atol)
-    if sol.status < 0:
-        t_reached = sol.t[-1] if len(sol.t) else 0.0
-        raise IntegrationError(f"integration failed: {sol.message}", t_reached)
+    sol = _integrate(rhs, t_final, psi0, t_eval=np.asarray(times, dtype=float),
+                     rtol=rtol, atol=atol)
     return Trajectory(times=sol.t.copy(), states=sol.y.T.copy())
 
 
@@ -227,11 +221,7 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel,
 
     y0 = np.concatenate([_vec(np.asarray(rho0, dtype=complex)),
                          np.zeros(2, dtype=complex)])
-    sol = solve_ivp(rhs, (0.0, t_max), y0, method="RK45", rtol=rtol, atol=atol,
-                    events=trace_event)
-    if sol.status < 0:
-        t_reached = sol.t[-1] if len(sol.t) else 0.0
-        raise IntegrationError(f"integration failed: {sol.message}", t_reached)
+    sol = _integrate(rhs, t_max, y0, rtol=rtol, atol=atol, events=trace_event)
     y_end = sol.y[:, -1]
     eta = 2.0 * model.trap_rate * y_end[n * n].real
     eta_loss = 2.0 * model.recomb_rate * y_end[n * n + 1].real
@@ -255,9 +245,7 @@ def build_liouvillian(model: TransportModel) -> sp.csc_matrix:
                  - sp.kron(hs.conj(), ident, format="csr"))
     rate = model.coherence_damping_rate
     if rate:
-        damp = np.full((n, n), -rate)
-        np.fill_diagonal(damp, 0.0)
-        gen = gen + sp.diags(damp.flatten(order="F"))
+        gen = gen + sp.diags(_vec(apply_dephasing(np.ones((n, n)), rate)))
     return gen.tocsc()
 
 
@@ -268,6 +256,11 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
     the time integral X of rho solves generator @ X = -rho0 exactly;
     eta = 2 kappa X[trap, trap]. No truncation error and fixed cost, which
     makes this the default for sweep production.
+
+    Called directly, this runs on the caller's OpenBLAS thread count, and
+    the last bits of eta follow that count through the BLAS calls inside
+    SuperLU. ``compute_efficiency`` pins one thread and is the reproducible
+    entry point.
     """
     if model.recomb_rate <= 0:
         raise ValueError("direct solve requires recomb_rate > 0 "

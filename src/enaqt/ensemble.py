@@ -75,6 +75,25 @@ class SweepGrid:
         if self.initial_kind not in INITIAL_STATE_KINDS:
             raise ValueError(f"unknown initial-state kind {self.initial_kind!r}")
 
+    def model(self, delta_eps: float, gamma_phi: float,
+              realization_index: int) -> TransportModel:
+        """Model of one (cell, realization) job.
+
+        Energies are keyed on (master_seed, cell coordinates,
+        realization_index); at delta_eps == 0 every realization index gives
+        the same model.
+        """
+        spec = DisorderSpec(std_dev=delta_eps,
+                            master_seed=cell_seed(self.master_seed, delta_eps, gamma_phi))
+        energies = sample_site_energies(spec, realization_index, self.topology.n_sites)
+        return TransportModel(
+            topology=self.topology, site_energies=tuple(energies),
+            trap_site=self.trap_site, trap_rate=self.trap_rate,
+            recomb_rate=self.recomb_rate, dephasing_rate=gamma_phi)
+
+    def initial_state(self) -> np.ndarray:
+        return initial_state(self.topology, self.initial_kind, self.initial_site)
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -151,25 +170,10 @@ def cell_seed(master_seed: int, delta_eps: float, gamma_phi: float) -> int:
 
 def run_point(grid: SweepGrid, delta_eps: float, gamma_phi: float,
               realization_index: int, solver: str = "liouvillian") -> EfficiencyResult:
-    """Evaluate one (cell, realization) job of a sweep.
-
-    Energies are keyed on (master_seed, cell coordinates, realization_index);
-    at delta_eps == 0 every realization index gives the identical result.
-    """
-    spec = DisorderSpec(std_dev=delta_eps,
-                        master_seed=cell_seed(grid.master_seed, delta_eps, gamma_phi))
-    energies = sample_site_energies(spec, realization_index, grid.topology.n_sites)
-    model = TransportModel(
-        topology=grid.topology, site_energies=tuple(energies),
-        trap_site=grid.trap_site, trap_rate=grid.trap_rate,
-        recomb_rate=grid.recomb_rate, dephasing_rate=gamma_phi)
-    rho0 = initial_state(grid.topology, grid.initial_kind, grid.initial_site)
-    try:
-        return compute_efficiency(rho0, model, solver=solver)
-    except Exception as exc:
-        raise type(exc)(
-            f"{exc} [delta_eps={delta_eps} gamma_phi={gamma_phi} "
-            f"realization={realization_index}]") from exc
+    """Evaluate one (cell, realization) job of a sweep."""
+    return compute_efficiency(grid.initial_state(),
+                              grid.model(delta_eps, gamma_phi, realization_index),
+                              solver=solver)
 
 
 def _run_cell(args):
@@ -182,7 +186,8 @@ def _run_cell(args):
             etas.append(res.eta)
             losses.append(res.eta_loss)
         except Exception as exc:
-            errors.append(str(exc))
+            errors.append(f"{type(exc).__name__}: {exc} [delta_eps={delta_eps} "
+                          f"gamma_phi={gamma_phi} realization={r}]")
     return delta_eps, gamma_phi, etas, losses, errors
 
 

@@ -1,7 +1,14 @@
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from enaqt.cli import main
+from enaqt import analysis, dynamics, ensemble
+from enaqt.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +74,8 @@ def test_single_solver_choice_and_csv(tmp_path, capsys):
     ["single", "--graph", "hypercube", "--dimension", "2",
      "--trap", "root"],                                        # root off-tree
     ["trajectory", *TREE_ARGS, "--pure"],                      # pure needs site init
+    ["bound", *TREE_ARGS, "--dephasing", "0.5"],               # bound is at zero dephasing
+    ["sweep", "--generations", "3"],                           # no --graph
 ])
 def test_flag_validation_fails_before_computation(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -109,6 +118,43 @@ def test_bound_dimer_is_trivial(tmp_path, capsys):
     assert code == 0
     assert stdout_value(out, "dimension") == 0
     assert stdout_value(out, "bound") == 1.0
+
+
+def test_bound_uses_the_energies_of_single_at_zero_dephasing(monkeypatch, capsys):
+    seen = {}
+    subspace, solve = analysis.invariant_subspace, dynamics.compute_efficiency
+
+    def spy_subspace(h, trap):
+        seen["bound"] = np.diag(h).real.copy()
+        return subspace(h, trap)
+
+    def spy_solve(rho0, mdl, **kwargs):
+        seen["single"] = np.array(mdl.site_energies)
+        return solve(rho0, mdl, **kwargs)
+
+    monkeypatch.setattr(analysis, "invariant_subspace", spy_subspace)
+    monkeypatch.setattr(dynamics, "compute_efficiency", spy_solve)
+    draw = ["--disorder", "1", "--realization", "2"]
+    code, out, _ = run_cli(capsys, "bound", *TREE_ARGS, *draw)
+    assert code == 0
+    bound = stdout_value(out, "bound")
+    code, out, _ = run_cli(capsys, "single", *TREE_ARGS, *draw, "--dephasing", "0")
+    assert code == 0
+    assert np.array_equal(seen["bound"], seen["single"])
+    assert np.all(seen["single"] != 0.0)
+    assert stdout_value(out, "eta") <= bound
+
+
+@pytest.mark.parametrize("command", [
+    ["single", "--disorder", "0.5", "--dephasing", "0.3"],
+    ["bound", "--disorder", "0.5"],
+    ["trajectory", "--dephasing", "0.3", "--t-final", "2", "--points", "5"],
+])
+def test_trap_defaults_to_site_0_off_trees(command, capsys):
+    cube = ["--graph", "hypercube", "--dimension", "3"]
+    default = run_cli(capsys, *command, *cube)
+    assert default[0] == 0
+    assert default == run_cli(capsys, *command, *cube, "--trap", "0")
 
 
 def test_sweep_single_cell_matches_single(tmp_path, capsys):
@@ -165,6 +211,63 @@ def test_sweep_config_file_with_flag_override(tmp_path, capsys):
     _, rows = read_csv(out_csv)
     assert {r[1] for r in rows} == {"0.4"}  # flag overrides the config grid
     assert [r[4] for r in rows] == ["1", "2"]
+
+
+def test_sweep_config_values_equal_the_same_flags(tmp_path, capsys):
+    values = {"kappa": "0.5", "seed": "7", "trap": "1", "solver": "timestepping"}
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    flags = [w for k, v in values.items() for w in (f"--{k}", v)]
+    grid = ["--graph", "binary-tree", "--generations", "3",
+            "--disorder-grid", "0,0.5", "--dephasing-grid", "0.2",
+            "--realizations", "2"]
+    csv = {name: tmp_path / f"{name}.csv" for name in ("config", "flags", "defaults")}
+    for name, extra in (("config", ["--config", str(cfg)]), ("flags", flags),
+                        ("defaults", [])):
+        assert run_cli(capsys, "sweep", *extra, *grid,
+                       "--output", str(csv[name]))[0] == 0
+    assert csv["config"].read_bytes() == csv["flags"].read_bytes()
+    assert csv["config"].read_bytes() != csv["defaults"].read_bytes()
+
+
+@pytest.mark.parametrize("line", ["solver = magic", "init = foo"],
+                         ids=["solver", "init"])
+def test_bad_config_value_exits_2_before_any_job(line, tmp_path, monkeypatch,
+                                                 capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"graph = binary-tree\ngenerations = 3\n{line}\n")
+    monkeypatch.setattr(ensemble, "run_sweep",
+                        lambda *a, **k: pytest.fail("a sweep job ran"))
+    out_csv = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg), "--output", str(out_csv)])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def readme_commands():
+    """Every 'enaqt ...' command of the README's sh blocks, as argv lists."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"),
+                            re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["enaqt"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_examples_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "single", "sweep", "bound", "trajectory", "delta-max"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: enaqt {shlex.join(argv)}")
 
 
 def test_trajectory_initial_row_matches_initial_state(tmp_path, capsys):

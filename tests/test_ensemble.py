@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from enaqt import dynamics
 from enaqt.ensemble import (DEFAULT_MASTER_SEED, SweepGrid, SweepTable,
                             cell_seed, default_dephasing_grid,
                             default_disorder_grid, dephasing_profile,
@@ -138,6 +139,33 @@ def test_sweep_reports_failures_but_emits_nothing_for_dead_cells():
     assert table.rows == ()
     assert len(table.failures) == 2
     assert "recomb_rate" in table.failures[0]
+
+
+def test_sweep_failure_line_keeps_the_cause_and_the_cell(monkeypatch):
+    def fail(rho0, model):
+        raise dynamics.IntegrationError("integration failed: step too small", 12.5)
+
+    monkeypatch.setattr(dynamics, "efficiency_timestepping", fail)
+    grid = tree_grid(topology=TREE3, disorder_values=(0.5,),
+                     dephasing_values=(0.1,), n_realizations=2)
+    table = run_sweep(grid, solver="timestepping")
+    assert table.rows == ()
+    assert table.failures == tuple(
+        "IntegrationError: integration failed: step too small "
+        f"[delta_eps=0.5 gamma_phi=0.1 realization={r}]" for r in range(2))
+
+
+def test_grid_model_and_initial_state_are_what_run_point_solves(monkeypatch):
+    seen = []
+    monkeypatch.setattr(dynamics, "efficiency_liouvillian",
+                        lambda rho0, model: seen.append((rho0, model)))
+    grid = tree_grid(topology=TREE3)
+    run_point(grid, 0.8, 0.2, 3)
+    (rho0, model), = seen
+    assert model == grid.model(0.8, 0.2, 3)
+    assert np.array_equal(rho0, grid.initial_state())
+    assert model.dephasing_rate == 0.2 and model.trap_site == grid.trap_site
+    assert model != grid.model(0.8, 0.2, 2)
 
 
 def test_disorder_has_interior_optimum_on_the_tree():
