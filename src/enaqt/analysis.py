@@ -35,13 +35,11 @@ class InvariantSubspace:
         return self.basis.shape[1]
 
 
-def invariant_subspace(h_system: np.ndarray, trap_site: int,
-                       degeneracy_tol: float = DEGENERACY_TOL,
-                       overlap_tol: float = OVERLAP_TOL) -> InvariantSubspace:
+def invariant_subspace(h_system: np.ndarray, trap_site: int) -> InvariantSubspace:
     """Construct the subspace of eigenvectors decoupled from the trap.
 
     Eigenvalues are grouped into clusters when consecutive gaps fall below
-    degeneracy_tol * ||H||; ordered lattices have exact degeneracies while
+    DEGENERACY_TOL * ||H||; ordered lattices have exact degeneracies while
     disordered ones have none, and the tolerance separates the two regimes.
     Within a cluster the component along the trap-coefficient vector is
     projected out and the remainder re-orthonormalized.
@@ -59,13 +57,13 @@ def invariant_subspace(h_system: np.ndarray, trap_site: int,
     start = 0
     while start < n:
         stop = start + 1
-        while stop < n and evals[stop] - evals[stop - 1] < degeneracy_tol * scale:
+        while stop < n and evals[stop] - evals[stop - 1] < DEGENERACY_TOL * scale:
             stop += 1
         block = evecs[:, start:stop]
         coeff = block.conj().T[:, trap_site]   # <v_i|trap> per cluster vector
         overlap = float(np.linalg.norm(coeff))
         clusters.append((float(evals[start:stop].mean()), stop - start, overlap))
-        if overlap < overlap_tol:
+        if overlap < OVERLAP_TOL:
             columns.append(block)
         elif stop - start > 1:
             unit = coeff / overlap

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 
 import numpy as np
@@ -126,17 +127,18 @@ def _resolve_init(args, top: graph.Topology, parser) -> tuple[str, int | None]:
 
 
 def _check_rates(args, parser) -> None:
-    if args.kappa < 0:
-        parser.error("--kappa must be >= 0")
-    if args.gamma_recomb < 0:
-        parser.error("--gamma-recomb must be >= 0")
-    dephasing = getattr(args, "dephasing", 0.0)
-    if dephasing < 0:
-        parser.error("--dephasing must be >= 0")
-    if getattr(args, "disorder", 0.0) < 0:
-        parser.error("--disorder must be >= 0")
+    for name in ("kappa", "gamma_recomb", "dephasing", "disorder"):
+        value = getattr(args, name, 0.0)
+        if value < 0:
+            parser.error(f"--{name.replace('_', '-')} must be >= 0")
+        if not math.isfinite(value):
+            parser.error(f"--{name.replace('_', '-')} must be finite")
     if args.seed < 0:
         parser.error("--seed must be >= 0")
+    if getattr(args, "realization", 0) < 0:
+        parser.error("--realization must be >= 0")
+    if getattr(args, "workers", 1) < 1:
+        parser.error("--workers must be >= 1")
 
 
 def _grid(args, parser, disorder_values, dephasing_values,
@@ -159,8 +161,7 @@ def _cmd_single(args, parser) -> int:
     res = dynamics.compute_efficiency(
         grid.initial_state(),
         grid.model(args.disorder, args.dephasing, args.realization),
-        solver=args.solver,
-        **({"trace_tol": args.trace_tol} if args.solver == "timestepping" else {}))
+        solver=args.solver)
     print(f"eta = {_fmt(res.eta)}")
     print(f"eta_loss = {_fmt(res.eta_loss)}")
     print(f"residual_trace = {_fmt(res.residual_trace)}")
@@ -331,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dephasing rate gamma_phi >= 0 (default 0)")
     p.add_argument("--solver", choices=["liouvillian", "timestepping"],
                    default="liouvillian")
-    p.add_argument("--trace-tol", type=float, default=dynamics.DEFAULT_TRACE_TOL,
-                   help="time-stepping truncation threshold on the trace")
     p.add_argument("--output", help="also write a CSV row ('-' for stdout)")
 
     p = sub.add_parser("sweep", help="(disorder x dephasing) ensemble sweep")

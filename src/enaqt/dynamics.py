@@ -35,9 +35,9 @@ from .model import (TransportModel, apply_dephasing,
 TIME_STEPPING = "time-stepping"
 LIOUVILLIAN_SOLVE = "liouvillian-solve"
 
-DEFAULT_TRACE_TOL = 1e-7
-DEFAULT_RTOL = 1e-8
-DEFAULT_ATOL = 1e-10
+TRACE_TOL = 1e-7  # time stepping stops once tr rho < TRACE_TOL
+RTOL = 1e-8
+ATOL = 1e-10
 FALLBACK_HORIZON = 1e4  # integration horizon when recomb_rate == 0
 
 
@@ -120,8 +120,9 @@ def master_equation_rhs(rho: np.ndarray, model: TransportModel) -> np.ndarray:
 
 
 def _integrate(rhs, t_final: float, y0: np.ndarray, **kw):
-    """RK45 from 0 to t_final; IntegrationError if the integrator fails."""
-    sol = solve_ivp(rhs, (0.0, t_final), y0, method="RK45", **kw)
+    """RK45 at RTOL/ATOL from 0 to t_final; IntegrationError if it fails."""
+    sol = solve_ivp(rhs, (0.0, t_final), y0, method="RK45", rtol=RTOL,
+                    atol=ATOL, **kw)
     if sol.status < 0:
         t_reached = sol.t[-1] if len(sol.t) else 0.0
         raise IntegrationError(f"integration failed: {sol.message}", t_reached)
@@ -129,8 +130,7 @@ def _integrate(rhs, t_final: float, y0: np.ndarray, **kw):
 
 
 def propagate(rho0: np.ndarray, model: TransportModel, t_final: float,
-              n_points: int = 2000, times: np.ndarray | None = None,
-              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Trajectory:
+              n_points: int = 2000, times: np.ndarray | None = None) -> Trajectory:
     """Integrate the master equation and record states on an output grid.
 
     Adaptive embedded Runge-Kutta pair of order 4/5 in dense complex
@@ -144,15 +144,14 @@ def propagate(rho0: np.ndarray, model: TransportModel, t_final: float,
         times = np.linspace(0.0, t_final, n_points)
     sol = _integrate(_rhs_closure(model), t_final,
                      _vec(np.asarray(rho0, dtype=complex)),
-                     t_eval=np.asarray(times, dtype=float), rtol=rtol, atol=atol)
+                     t_eval=np.asarray(times, dtype=float))
     states = np.moveaxis(sol.y.reshape((n, n, -1), order="F"), 2, 0)
     states = 0.5 * (states + states.conj().transpose(0, 2, 1))
     return Trajectory(times=sol.t.copy(), states=states)
 
 
 def propagate_pure(psi0: np.ndarray, model: TransportModel, t_final: float,
-                   n_points: int = 2000, times: np.ndarray | None = None,
-                   rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Trajectory:
+                   n_points: int = 2000, times: np.ndarray | None = None) -> Trajectory:
     """Integrate d psi/dt = -i H psi for a pure amplitude vector.
 
     Only valid at zero dephasing: pure states do not stay pure under the
@@ -174,33 +173,27 @@ def propagate_pure(psi0: np.ndarray, model: TransportModel, t_final: float,
     def rhs(t, y):
         return -1j * (h @ y)
 
-    sol = _integrate(rhs, t_final, psi0, t_eval=np.asarray(times, dtype=float),
-                     rtol=rtol, atol=atol)
+    sol = _integrate(rhs, t_final, psi0, t_eval=np.asarray(times, dtype=float))
     return Trajectory(times=sol.t.copy(), states=sol.y.T.copy())
 
 
 def efficiency_timestepping(rho0: np.ndarray, model: TransportModel,
-                            trace_tol: float = DEFAULT_TRACE_TOL,
-                            t_max: float | None = None,
-                            rtol: float = DEFAULT_RTOL,
-                            atol: float = DEFAULT_ATOL) -> EfficiencyResult:
+                            t_max: float | None = None) -> EfficiencyResult:
     """Transport efficiency by adaptive integration of the master equation.
 
     The running integrals of the trap population and of the trace are
     carried as extra state components, so the quadrature has the same order
     as the integrator and is accumulated on accepted steps rather than on an
-    output grid. Integration stops when tr rho < trace_tol or at
-    t_max = ln(1/trace_tol) / (2 Gamma), whichever comes first (the trace
+    output grid. Integration stops when tr rho < TRACE_TOL or at
+    t_max = ln(1/TRACE_TOL) / (2 Gamma), whichever comes first (the trace
     decays at least at rate 2 Gamma). With Gamma == 0 a fallback horizon is
     used and the returned eta is a lower bound whenever residual_trace > 0.
     """
-    if not 0.0 < trace_tol < 1.0:
-        raise ValueError("trace_tol must be in (0, 1)")
     check_density_matrix(rho0)
     n = model.n_sites
     if t_max is None:
         if model.recomb_rate > 0:
-            t_max = math.log(1.0 / trace_tol) / (2.0 * model.recomb_rate)
+            t_max = math.log(1.0 / TRACE_TOL) / (2.0 * model.recomb_rate)
         else:
             t_max = FALLBACK_HORIZON
     rhs_flat = _rhs_closure(model)
@@ -214,14 +207,14 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel,
         return np.concatenate([core, [rho_tt, tr]])
 
     def trace_event(t, y):
-        return y[diag_idx].real.sum() - trace_tol
+        return y[diag_idx].real.sum() - TRACE_TOL
 
     trace_event.terminal = True
     trace_event.direction = -1
 
     y0 = np.concatenate([_vec(np.asarray(rho0, dtype=complex)),
                          np.zeros(2, dtype=complex)])
-    sol = _integrate(rhs, t_max, y0, rtol=rtol, atol=atol, events=trace_event)
+    sol = _integrate(rhs, t_max, y0, events=trace_event)
     y_end = sol.y[:, -1]
     eta = 2.0 * model.trap_rate * y_end[n * n].real
     eta_loss = 2.0 * model.recomb_rate * y_end[n * n + 1].real
@@ -331,7 +324,7 @@ def _blas_on_one_thread():
 
 
 def compute_efficiency(rho0: np.ndarray, model: TransportModel,
-                       solver: str = "liouvillian", **kwargs) -> EfficiencyResult:
+                       solver: str = "liouvillian") -> EfficiencyResult:
     """Dispatch to one of the two efficiency solvers by name.
 
     The solver runs OpenBLAS on one thread, and the caller's setting is
@@ -346,7 +339,7 @@ def compute_efficiency(rho0: np.ndarray, model: TransportModel,
     if solver not in solvers:
         raise ValueError(f"unknown solver {solver!r}")
     with _blas_on_one_thread():
-        return solvers[solver](rho0, model, **kwargs)
+        return solvers[solver](rho0, model)
 
 
 @dataclass(eq=False)

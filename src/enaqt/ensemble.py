@@ -17,8 +17,8 @@ import numpy as np
 
 from .dynamics import compute_efficiency, EfficiencyResult
 from .graph import Topology
-from .model import (DisorderSpec, INITIAL_STATE_KINDS, TransportModel,
-                    initial_state, sample_site_energies)
+from .model import (INITIAL_STATE_KINDS, TransportModel, initial_state,
+                    sample_site_energies)
 
 DEFAULT_MASTER_SEED = 424242
 
@@ -70,6 +70,8 @@ class SweepGrid:
                 raise ValueError(f"{name} must be strictly increasing")
             if vals[0] < 0:
                 raise ValueError(f"{name} must be nonnegative")
+            if not all(map(math.isfinite, vals)):
+                raise ValueError(f"{name} must be finite")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
         if self.initial_kind not in INITIAL_STATE_KINDS:
@@ -83,9 +85,9 @@ class SweepGrid:
         realization_index); at delta_eps == 0 every realization index gives
         the same model.
         """
-        spec = DisorderSpec(std_dev=delta_eps,
-                            master_seed=cell_seed(self.master_seed, delta_eps, gamma_phi))
-        energies = sample_site_energies(spec, realization_index, self.topology.n_sites)
+        energies = sample_site_energies(
+            delta_eps, cell_seed(self.master_seed, delta_eps, gamma_phi),
+            realization_index, self.topology.n_sites)
         return TransportModel(
             topology=self.topology, site_energies=tuple(energies),
             trap_site=self.trap_site, trap_rate=self.trap_rate,
@@ -220,13 +222,9 @@ def run_sweep(grid: SweepGrid, n_workers: int = 1,
     return SweepTable(rows=tuple(rows), failures=tuple(failures))
 
 
-def dephasing_profile(grid: SweepGrid, gamma_values=None,
-                      solver: str = "liouvillian") -> np.ndarray:
+def dephasing_profile(grid: SweepGrid, gamma_values) -> np.ndarray:
     """Efficiency against dephasing rate at zero disorder (deterministic)."""
-    if gamma_values is None:
-        gamma_values = grid.dephasing_values
-    return np.array([run_point(grid, 0.0, g, 0, solver=solver).eta
-                     for g in gamma_values])
+    return np.array([run_point(grid, 0.0, g, 0).eta for g in gamma_values])
 
 
 # --- sweep configuration files: plain "key = value" lines ---

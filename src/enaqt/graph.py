@@ -1,8 +1,6 @@
 """Transport graph construction and structural queries.
 
-Sites are indexed 0..N-1 internally; human-facing labels (heap positions for
-binary trees, bit strings for hypercubes) are carried separately and never
-enter the numerics.
+Sites are indexed 0..N-1; every edge carries the hopping coupling V = 1.
 """
 from __future__ import annotations
 
@@ -17,7 +15,7 @@ CUSTOM = "custom"
 
 @dataclass(frozen=True)
 class Topology:
-    """Undirected transport graph with a uniform nearest-neighbour coupling.
+    """Undirected transport graph; every edge has the coupling V = 1.
 
     Immutable after construction; safe to share across workers.
     """
@@ -25,8 +23,6 @@ class Topology:
     n_sites: int
     edges: tuple[tuple[int, int], ...]
     kind: str = CUSTOM
-    coupling: float = 1.0
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.n_sites < 1:
@@ -45,11 +41,6 @@ class Topology:
             seen.add(pair)
             canon.append(pair)
         object.__setattr__(self, "edges", tuple(sorted(canon)))
-        if not self.labels:
-            object.__setattr__(
-                self, "labels", tuple(str(i) for i in range(self.n_sites)))
-        elif len(self.labels) != self.n_sites:
-            raise ValueError("one label per site required")
 
 
 def build_binary_tree(generations: int) -> Topology:
@@ -66,14 +57,12 @@ def build_binary_tree(generations: int) -> Topology:
     for m in range(1, 2 ** (generations - 1)):
         edges.append((m - 1, 2 * m - 1))
         edges.append((m - 1, 2 * m))
-    labels = tuple(str(m) for m in range(1, n + 1))
-    return Topology(n_sites=n, edges=tuple(edges), kind=BINARY_TREE,
-                    labels=labels)
+    return Topology(n_sites=n, edges=tuple(edges), kind=BINARY_TREE)
 
 
 def build_hypercube(dimension: int) -> Topology:
-    """d-dimensional hypercube: 2^d vertices labelled by d-bit strings,
-    adjacent iff the labels differ in exactly one bit."""
+    """d-dimensional hypercube: 2^d vertices, adjacent iff their indices
+    differ in exactly one bit."""
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     n = 2 ** dimension
@@ -83,15 +72,12 @@ def build_hypercube(dimension: int) -> Topology:
             w = v ^ (1 << b)
             if v < w:
                 edges.append((v, w))
-    labels = tuple(format(v, f"0{dimension}b") for v in range(n))
-    return Topology(n_sites=n, edges=tuple(edges), kind=HYPERCUBE,
-                    labels=labels)
+    return Topology(n_sites=n, edges=tuple(edges), kind=HYPERCUBE)
 
 
-def build_custom(n_sites: int, edge_list, coupling: float = 1.0) -> Topology:
+def build_custom(n_sites: int, edge_list) -> Topology:
     """Arbitrary graph from an explicit 0-based edge list."""
-    return Topology(n_sites=n_sites, edges=tuple(tuple(e) for e in edge_list),
-                    kind=CUSTOM, coupling=coupling)
+    return Topology(n_sites=n_sites, edges=tuple(tuple(e) for e in edge_list))
 
 
 def tree_generations(topology: Topology) -> int:

@@ -8,11 +8,12 @@ the hopping coupling V (hbar = 1).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BINARY_TREE, Topology, leaves
+from .graph import BINARY_TREE, Topology, adjacency_matrix, leaves
 
 LEAF_MIXTURE = "leaf-mixture"
 UNIFORM_MIXTURE = "uniform-mixture"
@@ -21,36 +22,24 @@ SINGLE_SITE = "single-site"
 INITIAL_STATE_KINDS = (LEAF_MIXTURE, UNIFORM_MIXTURE, SINGLE_SITE)
 
 
-@dataclass(frozen=True)
-class DisorderSpec:
-    """Quenched Gaussian site-energy disorder: zero mean, std ``std_dev``.
+def sample_site_energies(std_dev: float, master_seed: int,
+                         realization_index: int, n_sites: int) -> np.ndarray:
+    """Draw one realization of quenched Gaussian site-energy disorder.
 
-    Energies are drawn once per realization and held fixed during the
-    evolution. ``(master_seed, realization_index)`` fully determines a draw.
+    Zero mean, standard deviation ``std_dev``; the energies are held fixed
+    during the evolution. Deterministic: the stream is keyed on
+    (master_seed, realization_index), so realizations are reproducible and
+    independent of evaluation order.
     """
-
-    std_dev: float
-    master_seed: int
-
-    def __post_init__(self):
-        if self.std_dev < 0:
-            raise ValueError("disorder standard deviation must be >= 0")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be a nonnegative integer")
-
-
-def sample_site_energies(spec: DisorderSpec, realization_index: int,
-                         n_sites: int) -> np.ndarray:
-    """Draw one static-disorder realization of the site energies.
-
-    Deterministic: the stream is keyed on (master_seed, realization_index),
-    so realizations are reproducible and independent of evaluation order.
-    """
-    if spec.std_dev == 0.0:
+    if std_dev < 0:
+        raise ValueError("disorder standard deviation must be >= 0")
+    if master_seed < 0:
+        raise ValueError("master_seed must be a nonnegative integer")
+    if std_dev == 0.0:
         return np.zeros(n_sites)
-    seq = np.random.SeedSequence((spec.master_seed, realization_index))
+    seq = np.random.SeedSequence((master_seed, realization_index))
     rng = np.random.default_rng(seq)
-    return rng.normal(0.0, spec.std_dev, size=n_sites)
+    return rng.normal(0.0, std_dev, size=n_sites)
 
 
 @dataclass(frozen=True)
@@ -75,10 +64,12 @@ class TransportModel:
         if not 0 <= self.trap_site < self.topology.n_sites:
             raise ValueError(f"trap site {self.trap_site} out of range")
         for name in ("trap_rate", "recomb_rate", "dephasing_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        object.__setattr__(self, "site_energies",
-                           tuple(float(e) for e in self.site_energies))
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        energies = tuple(float(e) for e in self.site_energies)
+        if not all(map(math.isfinite, energies)):
+            raise ValueError("site energies must be finite")
+        object.__setattr__(self, "site_energies", energies)
 
     @property
     def n_sites(self) -> int:
@@ -95,17 +86,13 @@ class TransportModel:
 
 
 def assemble_system_hamiltonian(topology: Topology, site_energies) -> np.ndarray:
-    """Hermitian tight-binding Hamiltonian: diag(site energies) + V * adjacency."""
+    """Tight-binding Hamiltonian: diag(site energies) + adjacency (V = 1)."""
     eps = np.asarray(site_energies, dtype=float)
     n = topology.n_sites
     if eps.shape != (n,):
         raise ValueError(f"expected {n} site energies, got shape {eps.shape}")
-    h = np.zeros((n, n), dtype=complex)
+    h = adjacency_matrix(topology).astype(complex)
     h[np.diag_indices(n)] = eps
-    v = topology.coupling
-    for i, j in topology.edges:
-        h[i, j] = v
-        h[j, i] = v
     return h
 
 
@@ -163,9 +150,9 @@ def initial_state(topology: Topology, kind: str, site: int | None = None) -> np.
     return rho
 
 
-def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
-                         trace_tol: float = 1e-9, eig_tol: float = 1e-9) -> None:
-    """Validate Hermiticity, trace in [0, 1] and positive semidefiniteness.
+def check_density_matrix(rho: np.ndarray) -> None:
+    """Validate Hermiticity (to 1e-12), trace in [0, 1] and positive
+    semidefiniteness (both to 1e-9).
 
     Raises ValueError naming the violated property.
     """
@@ -173,11 +160,11 @@ def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
     herm_err = np.abs(rho - rho.conj().T).max()
-    if herm_err > herm_tol:
+    if herm_err > 1e-12:
         raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm_err:.2e}")
     tr = np.trace(rho)
-    if abs(tr.imag) > trace_tol or not -trace_tol <= tr.real <= 1.0 + trace_tol:
+    if abs(tr.imag) > 1e-9 or not -1e-9 <= tr.real <= 1.0 + 1e-9:
         raise ValueError(f"trace {tr} outside [0, 1]")
     lo = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
-    if lo < -eig_tol:
+    if lo < -1e-9:
         raise ValueError(f"negative eigenvalue {lo:.2e}")

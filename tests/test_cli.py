@@ -76,6 +76,14 @@ def test_single_solver_choice_and_csv(tmp_path, capsys):
     ["trajectory", *TREE_ARGS, "--pure"],                      # pure needs site init
     ["bound", *TREE_ARGS, "--dephasing", "0.5"],               # bound is at zero dephasing
     ["sweep", "--generations", "3"],                           # no --graph
+    ["single", *TREE_ARGS, "--kappa", "nan"],
+    ["single", *TREE_ARGS, "--dephasing", "inf"],
+    ["single", *TREE_ARGS, "--disorder", "nan"],
+    ["single", *TREE_ARGS, "--disorder", "1", "--realization", "-1"],
+    ["sweep", *TREE_ARGS, "--disorder-grid", "0", "--dephasing-grid", "0",
+     "--workers", "0"],
+    ["single", *TREE_ARGS, "--solver", "timestepping",
+     "--trace-tol", "1e-6"],                                   # tolerances are fixed
 ])
 def test_flag_validation_fails_before_computation(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -230,10 +238,11 @@ def test_sweep_config_values_equal_the_same_flags(tmp_path, capsys):
     assert csv["config"].read_bytes() != csv["defaults"].read_bytes()
 
 
-@pytest.mark.parametrize("line", ["solver = magic", "init = foo"],
-                         ids=["solver", "init"])
-def test_bad_config_value_exits_2_before_any_job(line, tmp_path, monkeypatch,
-                                                 capsys):
+@pytest.mark.parametrize("line,message", [
+    ("solver = magic", "invalid choice"), ("init = foo", "invalid choice"),
+    ("workers = 0", "--workers must be >= 1")], ids=["solver", "init", "workers"])
+def test_bad_config_value_exits_2_before_any_job(line, message, tmp_path,
+                                                 monkeypatch, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"graph = binary-tree\ngenerations = 3\n{line}\n")
     monkeypatch.setattr(ensemble, "run_sweep",
@@ -242,7 +251,7 @@ def test_bad_config_value_exits_2_before_any_job(line, tmp_path, monkeypatch,
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", str(cfg), "--output", str(out_csv)])
     assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out_csv.exists()
 
 

@@ -8,7 +8,7 @@ from enaqt.dynamics import (EfficiencyResult, _blas_on_one_thread,
                             record_trap_observables)
 from enaqt.graph import build_binary_tree, build_custom, build_hypercube
 from enaqt.model import (SINGLE_SITE, TransportModel, UNIFORM_MIXTURE,
-                         initial_state, sample_site_energies, DisorderSpec)
+                         initial_state, sample_site_energies)
 
 DIMER = build_custom(2, [(0, 1)])
 CHAIN3 = build_custom(3, [(0, 1), (1, 2)])
@@ -220,9 +220,8 @@ def test_cross_solver_agreement_dimer():
 @pytest.mark.parametrize("seed", [10, 11, 12])
 def test_trace_bookkeeping_budget(seed):
     rng = np.random.default_rng(seed)
-    spec = DisorderSpec(std_dev=0.8, master_seed=seed)
     m = TransportModel(topology=CHAIN3,
-                       site_energies=tuple(sample_site_energies(spec, 0, 3)),
+                       site_energies=tuple(sample_site_energies(0.8, seed, 0, 3)),
                        trap_site=0, trap_rate=1.0, recomb_rate=0.05,
                        dephasing_rate=rng.uniform(0, 1))
     rho0 = random_density_matrix(3, rng)

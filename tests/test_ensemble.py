@@ -34,6 +34,14 @@ def test_grid_validation():
         tree_grid(initial_kind="bogus")
 
 
+@pytest.mark.parametrize("axis", ["disorder_values", "dephasing_values"])
+def test_grid_rejects_non_finite_values(axis):
+    with pytest.raises(ValueError, match="finite"):
+        tree_grid(**{axis: (0.0, np.nan)})
+    with pytest.raises(ValueError, match="finite"):
+        tree_grid(**{axis: (0.0, np.inf)})
+
+
 def test_default_grids():
     d = default_disorder_grid()
     assert len(d) == 26 and d[0] == 0.0 and d[-1] == 2.5

@@ -32,7 +32,6 @@ def test_tree_five_generations():
     assert len(t.edges) == 30
     # leaves carry heap labels 16..31, i.e. indices 15..30
     assert leaves(t) == list(range(15, 31))
-    assert [t.labels[s] for s in leaves(t)] == [str(m) for m in range(16, 32)]
     assert root(t) == 0
 
 
@@ -90,12 +89,6 @@ def test_hypercube_adjacency_is_sum_of_bit_flips(d):
         for v in range(n):
             flips[v, v ^ (1 << b)] += 1.0
     assert np.array_equal(adjacency_matrix(build_hypercube(d)), flips)
-
-
-def test_hypercube_labels_are_bit_strings():
-    t = build_hypercube(3)
-    assert t.labels[0] == "000"
-    assert t.labels[5] == "101"
 
 
 def test_hypercube_rejects_zero_dimension():

@@ -3,8 +3,8 @@ import pytest
 
 from enaqt.graph import (adjacency_matrix, build_binary_tree, build_custom,
                          build_hypercube)
-from enaqt.model import (DisorderSpec, LEAF_MIXTURE, SINGLE_SITE,
-                         TransportModel, UNIFORM_MIXTURE, apply_dephasing,
+from enaqt.model import (LEAF_MIXTURE, SINGLE_SITE, TransportModel,
+                         UNIFORM_MIXTURE, apply_dephasing,
                          assemble_effective_hamiltonian,
                          assemble_system_hamiltonian, check_density_matrix,
                          initial_state, sample_site_energies)
@@ -18,32 +18,29 @@ def random_hermitian(n, rng):
 # --- disorder sampling ---
 
 def test_zero_disorder_gives_zero_vector():
-    spec = DisorderSpec(std_dev=0.0, master_seed=1)
-    assert np.array_equal(sample_site_energies(spec, 3, 5), np.zeros(5))
+    assert np.array_equal(sample_site_energies(0.0, 1, 3, 5), np.zeros(5))
 
 
 def test_sampling_is_deterministic():
-    spec = DisorderSpec(std_dev=0.7, master_seed=99)
-    a = sample_site_energies(spec, 4, 8)
-    b = sample_site_energies(spec, 4, 8)
+    a = sample_site_energies(0.7, 99, 4, 8)
+    b = sample_site_energies(0.7, 99, 4, 8)
     assert np.array_equal(a, b)
-    c = sample_site_energies(spec, 5, 8)
+    c = sample_site_energies(0.7, 99, 5, 8)
     assert not np.array_equal(a, c)
 
 
 def test_sampling_statistics():
     # 1e5 single-site realizations at unit standard deviation
-    spec = DisorderSpec(std_dev=1.0, master_seed=2024)
-    draws = np.array([sample_site_energies(spec, r, 1)[0] for r in range(100_000)])
+    draws = np.array([sample_site_energies(1.0, 2024, r, 1)[0] for r in range(100_000)])
     assert abs(draws.mean()) < 0.02
     assert abs(draws.std(ddof=1) - 1.0) < 0.02
 
 
 def test_disorder_spec_validation():
     with pytest.raises(ValueError):
-        DisorderSpec(std_dev=-0.1, master_seed=0)
+        sample_site_energies(-0.1, 0, 0, 3)
     with pytest.raises(ValueError):
-        DisorderSpec(std_dev=0.1, master_seed=-1)
+        sample_site_energies(0.1, -1, 0, 3)
 
 
 # --- Hamiltonian assembly ---
@@ -75,7 +72,7 @@ def test_hamiltonian_is_diag_plus_coupling_times_adjacency():
     eps = rng.normal(size=t.n_sites)
     h = assemble_system_hamiltonian(t, eps)
     assert np.array_equal(h, h.T)
-    assert np.allclose(h - np.diag(eps), t.coupling * adjacency_matrix(t))
+    assert np.allclose(h - np.diag(eps), adjacency_matrix(t))
 
 
 def test_hamiltonian_rejects_length_mismatch():
@@ -116,6 +113,18 @@ def test_model_validation():
     with pytest.raises(ValueError):
         TransportModel(topology=t, site_energies=(0.0, 0.0), trap_site=0,
                        dephasing_rate=-1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_model_rejects_non_finite_rates_and_energies(bad):
+    # time stepping on a nan rate never returns, so the model must refuse it
+    t = build_custom(2, [(0, 1)])
+    for name in ("trap_rate", "recomb_rate", "dephasing_rate"):
+        with pytest.raises(ValueError, match=name):
+            TransportModel(topology=t, site_energies=(0.0, 0.0), trap_site=0,
+                           **{name: bad})
+    with pytest.raises(ValueError, match="finite"):
+        TransportModel(topology=t, site_energies=(0.0, bad), trap_site=0)
 
 
 def test_coherence_damping_is_half_the_dephasing_rate():
