@@ -39,6 +39,16 @@ def _open_out(path):
             yield fh
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """Header line, then one line per row: strings and ints as they are,
+    every other value through _fmt."""
+    with _open_out(path) as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, (str, int)) else _fmt(v)
+                              for v in row) + "\n")
+
+
 def _add_problem_args(p: argparse.ArgumentParser) -> None:
     # --graph may also come from a sweep config, so _build_topology checks it
     p.add_argument("--graph",
@@ -137,6 +147,8 @@ def _check_rates(args, parser) -> None:
         parser.error("--seed must be >= 0")
     if getattr(args, "realization", 0) < 0:
         parser.error("--realization must be >= 0")
+    if getattr(args, "realizations", 1) < 1:
+        parser.error("--realizations must be >= 1")
     if getattr(args, "workers", 1) < 1:
         parser.error("--workers must be >= 1")
 
@@ -168,12 +180,9 @@ def _cmd_single(args, parser) -> int:
     print(f"method = {res.method}")
     print(f"horizon = {_fmt(res.horizon)}")
     if args.output:
-        with _open_out(args.output) as fh:
-            fh.write(SINGLE_CSV_HEADER + "\n")
-            fh.write(",".join([
-                _fmt(args.disorder), _fmt(args.dephasing), _fmt(args.kappa),
-                _fmt(args.gamma_recomb), _fmt(res.eta), _fmt(res.eta_loss),
-                _fmt(res.residual_trace), res.method, _fmt(res.horizon)]) + "\n")
+        _write_csv(args.output, SINGLE_CSV_HEADER, [(
+            args.disorder, args.dephasing, args.kappa, args.gamma_recomb,
+            res.eta, res.eta_loss, res.residual_trace, res.method, res.horizon)])
     return 0
 
 
@@ -207,66 +216,49 @@ def _cmd_bound(args, parser) -> int:
     bound = analysis.efficiency_upper_bound(sub, grid.initial_state())
     print(f"dimension = {sub.dimension}")
     print(f"bound = {_fmt(bound)}")
-    with _open_out(args.output) as fh:
-        fh.write(CLUSTER_CSV_HEADER + "\n")
-        for k, (energy, mult, overlap) in enumerate(sub.clusters):
-            fh.write(f"{k},{_fmt(energy)},{mult},{_fmt(overlap)}\n")
+    _write_csv(args.output, CLUSTER_CSV_HEADER,
+               ((k, *cluster) for k, cluster in enumerate(sub.clusters)))
     return 0
 
 
-def _trajectory_observables(grid, args, times):
-    """Trap observables, ensemble-averaged when realizations > 1, and the
-    last trajectory."""
-    trap = grid.trap_site
-    nbrs = graph.neighbors(grid.topology, trap)[:2]
-    rho0 = grid.initial_state()
-    pop = np.zeros(len(times))
-    im1 = np.zeros(len(times))
-    im2 = np.zeros(len(times))
-    trace = np.zeros(len(times))
-    n_real = args.realizations
-    for r in range(n_real):
-        # ensemble averages run draws 0..n-1; a single run honors --realization
-        mdl = grid.model(args.disorder, args.dephasing,
-                         r if n_real > 1 else args.realization)
-        traj = dynamics.propagate(rho0, mdl, times[-1], times=times)
-        obs = dynamics.record_trap_observables(traj, trap, nbrs)
-        pop += obs.population
-        if len(nbrs) > 0:
-            im1 += obs.coherence_im[0]
-        if len(nbrs) > 1:
-            im2 += obs.coherence_im[1]
-        trace += np.einsum("tii->t", traj.states).real
-    return pop / n_real, im1 / n_real, im2 / n_real, trace / n_real, traj
+def _trap_columns(traj, trap: int, nbrs) -> np.ndarray:
+    """The trajectory CSV columns after t, shape (4, T): Re of the trap
+    entry, Im of the entries at the first two neighbours (0 where there is
+    none) and the trace. The entries come from the trap's row of rho, or
+    from psi itself.
+    """
+    row = traj.states if traj.is_pure else traj.states[:, trap]
+    zero = np.zeros(len(traj.times))
+    ims = [row[:, nbrs[k]].imag if k < len(nbrs) else zero for k in range(2)]
+    if traj.is_pure:
+        trace = np.array([np.linalg.norm(psi) ** 2 for psi in traj.states])
+    else:
+        trace = np.einsum("tii->t", traj.states).real
+    return np.array([row[:, trap].real, *ims, trace])
 
 
 def _dump_full_state(path, traj) -> None:
-    states = traj.states
-    if traj.is_pure:
-        names = [f"psi_{i}" for i in range(states.shape[1])]
-        flat = states
-    else:
-        n = states.shape[1]
-        names = [f"rho_{i}_{j}" for i in range(n) for j in range(n)]
-        flat = states.reshape(states.shape[0], n * n)
-    with _open_out(path) as fh:
-        fh.write("t," + ",".join(f"{c}_re,{c}_im" for c in names) + "\n")
-        for k, t in enumerate(traj.times):
-            cells = [f"{_fmt(z.real)},{_fmt(z.imag)}" for z in flat[k]]
-            fh.write(f"{_fmt(t)}," + ",".join(cells) + "\n")
+    n = traj.states.shape[1]
+    names = ([f"psi_{i}" for i in range(n)] if traj.is_pure
+             else [f"rho_{i}_{j}" for i in range(n) for j in range(n)])
+    # interleaved (re, im) of each component; .view(float) needs C order
+    flat = np.ascontiguousarray(
+        traj.states.reshape(len(traj.times), -1)).view(float)
+    _write_csv(path, "t," + ",".join(f"{c}_re,{c}_im" for c in names),
+               ((t, *values) for t, values in zip(traj.times, flat)))
 
 
 def _cmd_trajectory(args, parser) -> int:
     grid = _grid(args, parser, (args.disorder,), (args.dephasing,))
-    if args.t_final <= 0:
-        parser.error("--t-final must be > 0")
+    if not 0 < args.t_final < math.inf:
+        parser.error("--t-final must be finite and > 0")
     if args.points < 2:
         parser.error("--points must be >= 2")
-    if args.realizations < 1:
-        parser.error("--realizations must be >= 1")
     if args.full_state and args.realizations != 1:
         parser.error("--full-state requires --realizations 1")
     times = np.linspace(0.0, args.t_final, args.points)
+    trap = grid.trap_site
+    nbrs = graph.neighbors(grid.topology, trap)[:2]
     if args.pure:
         if args.dephasing != 0.0:
             parser.error("--pure requires --dephasing 0 "
@@ -279,40 +271,30 @@ def _cmd_trajectory(args, parser) -> int:
         psi0 = np.zeros(grid.topology.n_sites, dtype=complex)
         psi0[grid.initial_site] = 1.0
         traj = dynamics.propagate_pure(psi0, mdl, args.t_final, times=times)
-        trap = grid.trap_site
-        nbrs = graph.neighbors(grid.topology, trap)[:2]
-        with _open_out(args.output) as fh:
-            fh.write(PURE_CSV_HEADER + "\n")
-            for k, t in enumerate(traj.times):
-                psi = traj.states[k]
-                a1 = psi[nbrs[0]].imag if len(nbrs) > 0 else 0.0
-                a2 = psi[nbrs[1]].imag if len(nbrs) > 1 else 0.0
-                fh.write(f"{_fmt(t)},{_fmt(psi[trap].real)},{_fmt(a1)},"
-                         f"{_fmt(a2)},{_fmt(np.linalg.norm(psi) ** 2)}\n")
-        if args.full_state:
-            _dump_full_state(args.full_state, traj)
-        return 0
-    pop, im1, im2, trace, traj = _trajectory_observables(grid, args, times)
+        header, columns = PURE_CSV_HEADER, _trap_columns(traj, trap, nbrs)
+    else:
+        rho0 = grid.initial_state()
+        n_real = args.realizations
+        columns = 0.0
+        for r in range(n_real):
+            # ensemble averages run draws 0..n-1; a single run honors --realization
+            mdl = grid.model(args.disorder, args.dephasing,
+                             r if n_real > 1 else args.realization)
+            traj = dynamics.propagate(rho0, mdl, args.t_final, times=times)
+            columns = columns + _trap_columns(traj, trap, nbrs)
+        header, columns = TRAJECTORY_CSV_HEADER, columns / n_real
+    _write_csv(args.output, header, zip(times, *columns))
     if args.full_state:  # one draw: --full-state requires --realizations 1
         _dump_full_state(args.full_state, traj)
-    with _open_out(args.output) as fh:
-        fh.write(TRAJECTORY_CSV_HEADER + "\n")
-        for k, t in enumerate(times):
-            fh.write(f"{_fmt(t)},{_fmt(pop[k])},{_fmt(im1[k])},"
-                     f"{_fmt(im2[k])},{_fmt(trace[k])}\n")
     return 0
 
 
 def _cmd_delta_max(args, parser) -> int:
     with open(args.input, encoding="utf-8") as fh:
         table = ensemble.SweepTable.from_csv(fh)
-    gammas = table.dephasing_values()
-    with _open_out(args.output) as fh:
-        fh.write(DELTA_MAX_CSV_HEADER + "\n")
-        for g in gammas:
-            gain = analysis.max_disorder_gain(table, g)
-            fh.write(f"{_fmt(g)},{_fmt(gain.gain)},{_fmt(gain.best_disorder)},"
-                     f"{_fmt(gain.stderr)}\n")
+    gains = (analysis.max_disorder_gain(table, g) for g in table.dephasing_values())
+    _write_csv(args.output, DELTA_MAX_CSV_HEADER,
+               ((d.gamma_phi, d.gain, d.best_disorder, d.stderr) for d in gains))
     return 0
 
 

@@ -121,6 +121,8 @@ def master_equation_rhs(rho: np.ndarray, model: TransportModel) -> np.ndarray:
 
 def _integrate(rhs, t_final: float, y0: np.ndarray, **kw):
     """RK45 at RTOL/ATOL from 0 to t_final; IntegrationError if it fails."""
+    if not 0 < t_final < math.inf:
+        raise ValueError(f"t_final must be finite and > 0, got {t_final}")
     sol = solve_ivp(rhs, (0.0, t_final), y0, method="RK45", rtol=RTOL,
                     atol=ATOL, **kw)
     if sol.status < 0:
@@ -136,8 +138,6 @@ def propagate(rho0: np.ndarray, model: TransportModel, t_final: float,
     Adaptive embedded Runge-Kutta pair of order 4/5 in dense complex
     arithmetic. States are re-Hermitized at the output points.
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be > 0")
     check_density_matrix(rho0)
     n = model.n_sites
     if times is None:
@@ -159,8 +159,6 @@ def propagate_pure(psi0: np.ndarray, model: TransportModel, t_final: float,
     """
     if model.dephasing_rate != 0.0:
         raise ValueError("pure-state propagation requires dephasing_rate == 0")
-    if t_final <= 0:
-        raise ValueError("t_final must be > 0")
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (model.n_sites,):
         raise ValueError("psi0 must be a length-N amplitude vector")
@@ -340,26 +338,3 @@ def compute_efficiency(rho0: np.ndarray, model: TransportModel,
         raise ValueError(f"unknown solver {solver!r}")
     with _blas_on_one_thread():
         return solvers[solver](rho0, model)
-
-
-@dataclass(eq=False)
-class TrapObservables:
-    """Trap population and Im coherences to the listed neighbour sites."""
-
-    times: np.ndarray
-    population: np.ndarray
-    coherence_im: np.ndarray  # shape (len(neighbor_sites), T)
-    neighbor_sites: tuple[int, ...]
-
-
-def record_trap_observables(trajectory: Trajectory, trap_site: int,
-                            neighbor_sites) -> TrapObservables:
-    """Extract rho[trap, trap] and Im rho[trap, neighbour] along a trajectory."""
-    if trajectory.is_pure:
-        raise ValueError("trap observables need a density-matrix trajectory")
-    states = trajectory.states
-    neighbor_sites = tuple(neighbor_sites)
-    population = states[:, trap_site, trap_site].real.copy()
-    coherence = np.array([states[:, trap_site, s].imag for s in neighbor_sites])
-    return TrapObservables(times=trajectory.times, population=population,
-                           coherence_im=coherence, neighbor_sites=neighbor_sites)

@@ -119,9 +119,6 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
     failures: tuple[str, ...] = field(default_factory=tuple)
 
-    def disorder_values(self) -> tuple[float, ...]:
-        return tuple(sorted({r.delta_eps for r in self.rows}))
-
     def dephasing_values(self) -> tuple[float, ...]:
         return tuple(sorted({r.gamma_phi for r in self.rows}))
 

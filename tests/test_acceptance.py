@@ -10,7 +10,7 @@ import pytest
 from enaqt.analysis import (efficiency_upper_bound, invariant_subspace,
                             max_disorder_gain)
 from enaqt.dynamics import (efficiency_liouvillian, efficiency_timestepping,
-                            propagate, propagate_pure, record_trap_observables)
+                            propagate, propagate_pure)
 from enaqt.ensemble import (DEFAULT_MASTER_SEED, SweepGrid, dephasing_profile,
                             default_disorder_grid, run_point, run_sweep)
 from enaqt.graph import build_binary_tree, build_custom, build_hypercube
@@ -196,10 +196,10 @@ def rate_equation_residual(dephasing, energies):
     model = tree_model(dephasing=dephasing, energies=energies)
     traj = propagate(initial_state(TREE5, SINGLE_SITE, site=30), model, 30.0,
                      n_points=4001)
-    obs = record_trap_observables(traj, 0, (1, 2))
+    population = traj.states[:, 0, 0].real
     h = traj.times[1] - traj.times[0]
-    lhs = (obs.population[2:] - obs.population[:-2]) / (2 * h)
-    rhs = -2 * obs.coherence_im.sum(axis=0) - 2 * 1.01 * obs.population
+    lhs = (population[2:] - population[:-2]) / (2 * h)
+    rhs = -2 * traj.states[:, 0, 1:3].imag.sum(axis=1) - 2 * 1.01 * population
     return np.abs(lhs - rhs[1:-1]).max()
 
 

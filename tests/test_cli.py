@@ -84,11 +84,30 @@ def test_single_solver_choice_and_csv(tmp_path, capsys):
      "--workers", "0"],
     ["single", *TREE_ARGS, "--solver", "timestepping",
      "--trace-tol", "1e-6"],                                   # tolerances are fixed
+    ["sweep", *TREE_ARGS, "--disorder-grid", "0", "--dephasing-grid", "0",
+     "--realizations", "0"],
 ])
 def test_flag_validation_fails_before_computation(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("t_final", ["nan", "inf"])
+@pytest.mark.parametrize("pure", [False, True], ids=["density", "pure"])
+def test_trajectory_rejects_a_non_finite_horizon(t_final, pure, monkeypatch,
+                                                 capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("propagation reached with a bad --t-final")
+
+    monkeypatch.setattr(dynamics, "propagate", unreachable)
+    monkeypatch.setattr(dynamics, "propagate_pure", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        main(["trajectory", "--graph", "binary-tree", "--generations", "2",
+              "--init", "site", "--init-site", "2", "--points", "3",
+              "--t-final", t_final, *(["--pure"] if pure else [])])
+    assert exc.value.code == 2
+    assert "--t-final must be finite and > 0" in capsys.readouterr().err
 
 
 def test_help_lists_subcommands(capsys):
@@ -279,6 +298,36 @@ def test_readme_examples_parse():
             pytest.fail(f"README example does not parse: enaqt {shlex.join(argv)}")
 
 
+def readme_csv_formats():
+    """The README's "CSV formats" section with its backtick line wraps joined."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### CSV formats")[1].split("\n## ")[0]
+    return re.sub(r"`\n\s*`", "", section)
+
+
+def test_readme_lists_the_csv_headers(tmp_path, capsys):
+    dimer = ["--graph", "custom", "--edge-file", str(write_dimer(tmp_path)),
+             "--init", "site", "--init-site", "0", "--trap", "1"]
+    tiny = ["--graph", "binary-tree", "--generations", "2"]
+    sweep_csv = tmp_path / "sweep.csv"
+    commands = [
+        ["sweep", *tiny, "--disorder-grid", "0", "--dephasing-grid", "0",
+         "--output", str(sweep_csv)],
+        ["single", *tiny, "--output", "-"],
+        ["bound", *tiny],
+        ["trajectory", *dimer, "--t-final", "1", "--points", "2"],
+        ["trajectory", *dimer, "--t-final", "1", "--points", "2", "--pure"],
+        ["delta-max", "--input", str(sweep_csv)],
+    ]
+    formats = readme_csv_formats()
+    for argv in commands:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        text = sweep_csv.read_text() if argv[0] == "sweep" else out
+        header = next(line for line in text.splitlines() if "," in line)
+        assert f"`{header}`" in formats, f"{argv[0]} header {header!r}"
+
+
 def test_trajectory_initial_row_matches_initial_state(tmp_path, capsys):
     out_csv = tmp_path / "traj.csv"
     code, _, _ = run_cli(capsys, "trajectory", "--graph", "binary-tree",
@@ -313,16 +362,22 @@ def test_trajectory_pure_run_parity(tmp_path, capsys):
 
 
 def test_trajectory_ensemble_average_runs(tmp_path, capsys):
-    out_csv = tmp_path / "avg.csv"
-    code, _, _ = run_cli(capsys, "trajectory", "--graph", "binary-tree",
-                         "--generations", "3", "--init", "site",
-                         "--init-site", "6", "--disorder", "1.4",
-                         "--dephasing", "0.2", "--realizations", "3",
-                         "--t-final", "2", "--points", "5",
-                         "--output", str(out_csv))
-    assert code == 0
-    _, rows = read_csv(out_csv)
-    assert len(rows) == 5
+    args = ["trajectory", "--graph", "binary-tree", "--generations", "3",
+            "--init", "site", "--init-site", "6", "--disorder", "1.4",
+            "--dephasing", "0.2", "--t-final", "2", "--points", "5"]
+
+    def run(*extra):
+        out_csv = tmp_path / "traj.csv"
+        assert run_cli(capsys, *args, *extra, "--output", str(out_csv))[0] == 0
+        return np.array(read_csv(out_csv)[1], dtype=float)
+
+    avg = run("--realizations", "3")
+    draws = [run("--realization", str(r)) for r in range(3)]
+    assert avg.shape == (5, 5)
+    assert np.array_equal(avg[:, 0], draws[0][:, 0])
+    # the mean of draws 0, 1, 2, summed from 0 in that order
+    assert np.array_equal(avg[:, 1:],
+                          (0.0 + draws[0] + draws[1] + draws[2])[:, 1:] / 3)
 
 
 def test_trajectory_full_state_dump(tmp_path, capsys):
@@ -343,6 +398,30 @@ def test_trajectory_full_state_dump(tmp_path, capsys):
         main(["trajectory", "--graph", "binary-tree", "--generations", "3",
               "--init", "leaves", "--realizations", "2",
               "--full-state", str(full_csv)])
+
+
+DIMER_DENSITY_DUMP_HEADER = ("t,rho_0_0_re,rho_0_0_im,rho_0_1_re,rho_0_1_im,"
+                             "rho_1_0_re,rho_1_0_im,rho_1_1_re,rho_1_1_im")
+
+
+@pytest.mark.parametrize("pure,header,dump_header", [
+    (False, "t,re_rho11,im_rho12,im_rho13,trace", DIMER_DENSITY_DUMP_HEADER),
+    (True, "t,re_psi1,im_psi2,im_psi3,norm_sq",
+     "t,psi_0_re,psi_0_im,psi_1_re,psi_1_im"),
+], ids=["density", "pure"])
+def test_trajectory_full_state_follows_the_main_csv(pure, header, dump_header,
+                                                    tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "trajectory", "--graph", "custom",
+                           "--edge-file", str(write_dimer(tmp_path)),
+                           "--init", "site", "--init-site", "0", "--trap", "1",
+                           "--t-final", "1", "--points", "3",
+                           *(["--pure"] if pure else []), "--full-state", "-")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2 * (1 + 3)
+    assert lines[0] == header
+    assert lines[4] == dump_header
+    assert [float(v) for v in lines[5].split(",")[1:3]] == [1.0, 0.0]
 
 
 def write_dimer(tmp_path):

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from enaqt import dynamics
 from enaqt.dynamics import (EfficiencyResult, _blas_on_one_thread,
                             _openblas_thread_controls, compute_efficiency,
                             efficiency_liouvillian, efficiency_timestepping,
-                            master_equation_rhs, propagate, propagate_pure,
-                            record_trap_observables)
+                            master_equation_rhs, propagate, propagate_pure)
 from enaqt.graph import build_binary_tree, build_custom, build_hypercube
 from enaqt.model import (SINGLE_SITE, TransportModel, UNIFORM_MIXTURE,
                          initial_state, sample_site_energies)
@@ -120,12 +122,22 @@ def test_propagate_overdamped_dimer():
     assert abs(off - ref.reshape((2, 2), order="F")[0, 1]) < 1e-9
 
 
-def test_propagate_validates_inputs():
+def test_propagate_validates_inputs(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solve_ivp reached with a bad input")
+
+    monkeypatch.setattr(dynamics, "solve_ivp", unreachable)
     m = dimer_model()
     with pytest.raises(ValueError):
         propagate(np.eye(2, dtype=complex), m, 1.0)  # trace 2
-    with pytest.raises(ValueError):
-        propagate(np.eye(2, dtype=complex) / 2, m, -1.0)
+    for t_final in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            propagate(np.eye(2, dtype=complex) / 2, m, t_final)
+        with pytest.raises(ValueError):
+            propagate_pure(np.array([1.0 + 0j, 0.0]), m, t_final)
+        with pytest.raises(ValueError):
+            efficiency_timestepping(np.eye(2, dtype=complex) / 2, m,
+                                    t_max=t_final)
 
 
 def test_dephasing_leaves_diagonal_invariant_without_hopping():
@@ -311,10 +323,8 @@ def test_trap_observables_initial_values():
                        trap_rate=1.0, recomb_rate=0.01)
     rho0 = initial_state(t, SINGLE_SITE, site=6)
     traj = propagate(rho0, m, 5.0, n_points=100)
-    obs = record_trap_observables(traj, 0, (1, 2))
-    assert obs.population[0] == 0.0
-    assert obs.coherence_im[0][0] == 0.0
-    assert obs.neighbor_sites == (1, 2)
+    assert traj.states[0, 0, 0].real == 0.0
+    assert traj.states[0, 0, 1].imag == 0.0
 
 
 def test_trap_population_rate_equation_residual():
@@ -324,16 +334,9 @@ def test_trap_population_rate_equation_residual():
                        trap_rate=1.0, recomb_rate=0.01)
     rho0 = initial_state(t, SINGLE_SITE, site=6)
     traj = propagate(rho0, m, 20.0, n_points=4001)
-    obs = record_trap_observables(traj, 0, (1, 2))
+    population = traj.states[:, 0, 0].real
     h = traj.times[1] - traj.times[0]
-    lhs = (obs.population[2:] - obs.population[:-2]) / (2 * h)
-    rhs = (-2 * obs.coherence_im.sum(axis=0)
-           - 2 * (m.trap_rate + m.recomb_rate) * obs.population)
+    lhs = (population[2:] - population[:-2]) / (2 * h)
+    rhs = (-2 * traj.states[:, 0, 1:3].imag.sum(axis=1)
+           - 2 * (m.trap_rate + m.recomb_rate) * population)
     assert np.abs(lhs - rhs[1:-1]).max() < 1e-4
-
-
-def test_trap_observables_reject_pure_trajectories():
-    m = dimer_model()
-    traj = propagate_pure(np.array([1.0 + 0j, 0.0]), m, 1.0, n_points=5)
-    with pytest.raises(ValueError):
-        record_trap_observables(traj, 0, (1,))
