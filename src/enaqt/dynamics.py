@@ -39,6 +39,9 @@ TRACE_TOL = 1e-7  # time stepping stops once tr rho < TRACE_TOL
 RTOL = 1e-8
 ATOL = 1e-10
 FALLBACK_HORIZON = 1e4  # integration horizon when recomb_rate == 0
+# largest ||G x - b||_1 / (||G||_1 ||x||_1 + ||b||_1) a direct solve may
+# return; good solves stay below 2e-13, unpivoted failures reach 1e-9 to 1e-8
+BACKWARD_ERROR_TOL = 1e-10
 
 
 class IntegrationError(RuntimeError):
@@ -119,10 +122,20 @@ def master_equation_rhs(rho: np.ndarray, model: TransportModel) -> np.ndarray:
     return _unvec(_rhs_closure(model)(0.0, _vec(rho)), n)
 
 
-def _integrate(rhs, t_final: float, y0: np.ndarray, **kw):
-    """RK45 at RTOL/ATOL from 0 to t_final; IntegrationError if it fails."""
+def _integrate(rhs, t_final: float, y0: np.ndarray, n_points: int | None = None,
+               times: np.ndarray | None = None, **kw):
+    """RK45 at RTOL/ATOL from 0 to t_final; IntegrationError if it fails.
+
+    With ``n_points`` the solution is sampled on ``times``, or on n_points
+    even steps from 0 to t_final when ``times`` is None. The horizon is
+    checked before the grid is built, so a bad one never reaches numpy.
+    """
     if not 0 < t_final < math.inf:
         raise ValueError(f"t_final must be finite and > 0, got {t_final}")
+    if n_points is not None:
+        if times is None:
+            times = np.linspace(0.0, t_final, n_points)
+        kw["t_eval"] = np.asarray(times, dtype=float)
     sol = solve_ivp(rhs, (0.0, t_final), y0, method="RK45", rtol=RTOL,
                     atol=ATOL, **kw)
     if sol.status < 0:
@@ -140,11 +153,8 @@ def propagate(rho0: np.ndarray, model: TransportModel, t_final: float,
     """
     check_density_matrix(rho0)
     n = model.n_sites
-    if times is None:
-        times = np.linspace(0.0, t_final, n_points)
     sol = _integrate(_rhs_closure(model), t_final,
-                     _vec(np.asarray(rho0, dtype=complex)),
-                     t_eval=np.asarray(times, dtype=float))
+                     _vec(np.asarray(rho0, dtype=complex)), n_points, times)
     states = np.moveaxis(sol.y.reshape((n, n, -1), order="F"), 2, 0)
     states = 0.5 * (states + states.conj().transpose(0, 2, 1))
     return Trajectory(times=sol.t.copy(), states=states)
@@ -165,13 +175,11 @@ def propagate_pure(psi0: np.ndarray, model: TransportModel, t_final: float,
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
     h = assemble_effective_hamiltonian(model)
-    if times is None:
-        times = np.linspace(0.0, t_final, n_points)
 
     def rhs(t, y):
         return -1j * (h @ y)
 
-    sol = _integrate(rhs, t_final, psi0, t_eval=np.asarray(times, dtype=float))
+    sol = _integrate(rhs, t_final, psi0, n_points, times)
     return Trajectory(times=sol.t.copy(), states=sol.y.T.copy())
 
 
@@ -224,20 +232,30 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel,
 def build_liouvillian(model: TransportModel) -> sp.csc_matrix:
     """Vectorized generator of the master equation (column-stacking).
 
-    -i(H rho - rho H^dag) becomes -i [I (x) H - conj(H) (x) I]; the
-    dephasing map is diagonal in the site basis. Assembled sparse, once per
-    model.
+    -i(H rho - rho H^dag) becomes -i [I (x) H - conj(H) (x) I]: each nonzero
+    h_ij puts -i h_ij at (i + n k, j + n k) and +i conj(h_ij) at
+    (k + n i, k + n j) for every k, and the dephasing map is diagonal in the
+    site basis. Assembled once per model from these index arrays; the
+    entries that land on the same diagonal position are summed.
     """
     h = assemble_effective_hamiltonian(model)
     n = model.n_sites
-    ident = sp.identity(n, format="csr", dtype=complex)
-    hs = sp.csr_matrix(h)
-    gen = -1j * (sp.kron(ident, hs, format="csr")
-                 - sp.kron(hs.conj(), ident, format="csr"))
+    i, j = np.nonzero(h)
+    hij = h[i, j]
+    k = np.arange(n)[:, None]
+    rows = [(i + n * k).ravel(), (k + n * i).ravel()]
+    cols = [(j + n * k).ravel(), (k + n * j).ravel()]
+    vals = [np.tile(-1j * hij, n), np.tile(1j * hij.conj(), n)]
     rate = model.coherence_damping_rate
     if rate:
-        gen = gen + sp.diags(_vec(apply_dephasing(np.ones((n, n)), rate)))
-    return gen.tocsc()
+        damp = _vec(apply_dephasing(np.ones((n, n)), rate))
+        on = np.flatnonzero(damp)
+        rows.append(on)
+        cols.append(on)
+        vals.append(damp[on])
+    return sp.csc_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n * n, n * n))
 
 
 def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> EfficiencyResult:
@@ -247,6 +265,24 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
     the time integral X of rho solves generator @ X = -rho0 exactly;
     eta = 2 kappa X[trap, trap]. No truncation error and fixed cost, which
     makes this the default for sweep production.
+
+    The generator's sparsity pattern is symmetric (each h_ij pairs with
+    h_ji), so SuperLU factors it in symmetric mode: a minimum-degree column
+    order on G^T + G and pivots taken from the diagonal while they are
+    at least 0.01 of the largest entry in their column. On hypercube d=6
+    that keeps 3.4 M nonzeros in the factors instead of 12.2 M.
+
+    The threshold is 0.01, not 0. With pure diagonal pivots, strong
+    disorder (delta_eps = 10), no dephasing and Gamma = 1e-9 gave backward
+    errors up to 1e-8, eta off by 1e-2, or an exactly singular factor on
+    tree g=5. At 0.01 the backward error stayed below 1e-14 on trees
+    g=4/5 and hypercube d=4 over delta_eps <= 10, gamma_phi from 0 to 1e3,
+    Gamma down to 1e-9 and kappa in {1, 2, 50}, and every benchmark cell
+    kept the fill it has at 0. At 0.1 and 1.0 the hypercube d=6 factors
+    grow to 3.9 M and 7.7 M nonzeros, and the factorization takes 1.5x
+    and 10x as long. A solve whose backward error
+    ||G x - b||_1 / (||G||_1 ||x||_1 + ||b||_1) exceeds BACKWARD_ERROR_TOL
+    raises SolverError instead of returning eta.
 
     Called directly, this runs on the caller's OpenBLAS thread count, and
     the last bits of eta follow that count through the BLAS calls inside
@@ -261,11 +297,20 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
     gen = build_liouvillian(model)
     b = -_vec(np.asarray(rho0, dtype=complex))
     try:
-        x = spla.splu(gen).solve(b)
+        x = spla.splu(gen, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                      options={"SymmetricMode": True}).solve(b)
     except RuntimeError as exc:  # singular factorization
         raise SolverError(f"generator factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SolverError("generator solve produced non-finite values")
+    # ||G||_1 is the largest column sum; no column of G is empty, as
+    # Re G[d, d] <= -2 Gamma < 0
+    norm_gen = np.add.reduceat(np.abs(gen.data), gen.indptr[:-1]).max()
+    backward = (np.abs(gen @ x - b).sum()
+                / (norm_gen * np.abs(x).sum() + np.abs(b).sum()))
+    if backward > BACKWARD_ERROR_TOL:
+        raise SolverError(f"generator solve has backward error {backward:.2e} "
+                          f"> {BACKWARD_ERROR_TOL:g}")
     big_x = _unvec(x, n)
     eta = 2.0 * model.trap_rate * big_x[model.trap_site, model.trap_site].real
     eta_loss = 2.0 * model.recomb_rate * np.trace(big_x).real

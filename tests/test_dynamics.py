@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from enaqt import dynamics
-from enaqt.dynamics import (EfficiencyResult, _blas_on_one_thread,
-                            _openblas_thread_controls, compute_efficiency,
-                            efficiency_liouvillian, efficiency_timestepping,
-                            master_equation_rhs, propagate, propagate_pure)
+import scipy.sparse.linalg as spla
+
+from enaqt import dynamics, ensemble
+from enaqt.dynamics import (EfficiencyResult, SolverError, _blas_on_one_thread,
+                            _openblas_thread_controls, build_liouvillian,
+                            compute_efficiency, efficiency_liouvillian,
+                            efficiency_timestepping, master_equation_rhs,
+                            propagate, propagate_pure)
 from enaqt.graph import build_binary_tree, build_custom, build_hypercube
-from enaqt.model import (SINGLE_SITE, TransportModel, UNIFORM_MIXTURE,
-                         initial_state, sample_site_energies)
+from enaqt.model import (LEAF_MIXTURE, SINGLE_SITE, TransportModel,
+                         UNIFORM_MIXTURE, initial_state, sample_site_energies)
 
 DIMER = build_custom(2, [(0, 1)])
 CHAIN3 = build_custom(3, [(0, 1), (1, 2)])
@@ -122,6 +125,7 @@ def test_propagate_overdamped_dimer():
     assert abs(off - ref.reshape((2, 2), order="F")[0, 1]) < 1e-9
 
 
+@pytest.mark.filterwarnings("error")
 def test_propagate_validates_inputs(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("solve_ivp reached with a bad input")
@@ -281,6 +285,84 @@ def test_compute_efficiency_dispatch():
         compute_efficiency(rho0, m, solver="magic")
 
 
+def test_generator_applies_the_master_equation():
+    t = build_binary_tree(3)
+    rng = np.random.default_rng(5)
+    m = TransportModel(topology=t, site_energies=tuple(rng.normal(size=7)),
+                       trap_site=2, trap_rate=0.7, recomb_rate=0.03,
+                       dephasing_rate=0.4)
+    rho = random_density_matrix(7, rng)
+    got = build_liouvillian(m) @ rho.flatten(order="F")
+    want = master_equation_rhs(rho, m).flatten(order="F")
+    assert np.abs(got - want).max() < 1e-13
+
+
+TREE4 = build_binary_tree(4)
+HARD_CASES = [
+    # strong disorder, no dephasing, almost no loss: far from diagonal
+    # dominance, where SuperLU without threshold pivoting breaks down
+    *[pytest.param(TREE4, tuple(sample_site_energies(10.0, seed, 0, 15)), kappa,
+                   0.0, initial_state(TREE4, LEAF_MIXTURE),
+                   id=f"tree4-kappa{kappa:g}-seed{seed}")
+      for kappa in (1.0, 2.0, 50.0) for seed in range(3)],
+    # the dimer exceptional point kappa = 2V
+    *[pytest.param(DIMER, (0.0, 0.0), 2.0, gamma_phi,
+                   initial_state(DIMER, SINGLE_SITE, site=1),
+                   id=f"dimer-ep-dephasing{gamma_phi:g}")
+      for gamma_phi in (0.0, 0.5)],
+]
+
+
+@pytest.mark.parametrize("topology,energies,kappa,gamma_phi,rho0", HARD_CASES)
+def test_direct_solve_in_hard_regimes(topology, energies, kappa, gamma_phi, rho0):
+    m = TransportModel(topology=topology, site_energies=energies, trap_site=0,
+                       trap_rate=kappa, recomb_rate=1e-9,
+                       dephasing_rate=gamma_phi)
+    res = efficiency_liouvillian(rho0, m)
+    x = np.linalg.solve(build_liouvillian(m).toarray(), -rho0.flatten(order="F"))
+    assert abs(res.eta - 2 * kappa * x[0].real) < 1e-6
+    assert abs(res.eta + res.eta_loss - 1.0) < 1e-9
+
+
+def test_direct_solve_rejects_a_large_backward_error(monkeypatch):
+    splu = spla.splu
+
+    class Perturbed:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            return self.lu.solve(b) * (1 + 1e-6)
+
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw: Perturbed(splu(*a, **kw)))
+    m = dimer_model(trap_rate=1.0, recomb_rate=0.01, dephasing_rate=0.3)
+    with pytest.raises(SolverError, match="backward error"):
+        efficiency_liouvillian(initial_state(DIMER, SINGLE_SITE, site=0), m)
+
+
+def test_direct_solve_builds_one_generator_and_one_factor(monkeypatch):
+    # the benchmark traces these two calls inside every direct solve
+    calls = []
+    build, splu = dynamics.build_liouvillian, spla.splu
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "build_liouvillian", spy("generator", build))
+    monkeypatch.setattr(spla, "splu", spy("splu", splu))
+    t = build_binary_tree(3)
+    grid = ensemble.SweepGrid(topology=t, disorder_values=(0.5,),
+                              dephasing_values=(0.1,), n_realizations=1,
+                              initial_kind=LEAF_MIXTURE)
+    ensemble.run_point(grid, 0.5, 0.1, 0)
+    assert calls == ["generator", "splu"]
+    efficiency_liouvillian(grid.initial_state(), grid.model(0.5, 0.1, 0))
+    assert calls == ["generator", "splu"] * 2
+
+
 def set_openblas_threads(counts):
     for (set_threads, _), n in zip(_openblas_thread_controls(), counts):
         set_threads(n)
@@ -294,14 +376,14 @@ def test_compute_efficiency_runs_blas_on_one_thread_and_restores_the_caller():
     caller = openblas_threads()
     if not caller:
         pytest.skip("no OpenBLAS library found in this process")
-    hyper4 = build_hypercube(4)
+    hyper5 = build_hypercube(5)
     # LU fill on the disordered hypercube reaches threaded BLAS in SuperLU:
     # unpinned, 2 threads change this eta's last bits
-    energies = np.random.default_rng(3).normal(0.0, 1.4, 16)
-    m = TransportModel(topology=hyper4, site_energies=tuple(energies),
+    energies = np.random.default_rng(1).normal(0.0, 1.4, 32)
+    m = TransportModel(topology=hyper5, site_energies=tuple(energies),
                        trap_site=0, trap_rate=1.0, recomb_rate=0.01,
                        dephasing_rate=1.0)
-    rho0 = initial_state(hyper4, UNIFORM_MIXTURE)
+    rho0 = initial_state(hyper5, UNIFORM_MIXTURE)
     etas = []
     try:
         for n in (2, 1):
