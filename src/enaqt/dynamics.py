@@ -30,7 +30,8 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
 from .model import (TransportModel, apply_dephasing,
-                    assemble_effective_hamiltonian, check_density_matrix)
+                    assemble_effective_hamiltonian, check_density_matrix,
+                    check_hermitian)
 
 TIME_STEPPING = "time-stepping"
 LIOUVILLIAN_SOLVE = "liouvillian-solve"
@@ -45,7 +46,7 @@ BACKWARD_ERROR_TOL = 1e-10
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive integration failed; ``time_reached`` holds the last good time."""
+    """Adaptive integration failed; ``time_reached`` is the last accepted time."""
 
     def __init__(self, message: str, time_reached: float):
         super().__init__(message)
@@ -97,15 +98,19 @@ def _unvec(v: np.ndarray, n: int) -> np.ndarray:
 
 
 def _rhs_closure(model: TransportModel):
-    """Flat master-equation RHS with H assembled once."""
+    """Flat master-equation RHS with H assembled once.
+
+    Every state it is given is Hermitian, so rho H^dag = (H rho)^dag and one
+    matrix product serves both terms.
+    """
     h = assemble_effective_hamiltonian(model)
-    hdag = h.conj().T
     n = model.n_sites
     rate = model.coherence_damping_rate
 
     def rhs(t, y):
         rho = _unvec(y, n)
-        out = -1j * (h @ rho - rho @ hdag)
+        a = h @ rho
+        out = -1j * (a - a.conj().T)
         if rate:
             out += apply_dephasing(rho, rate)
         return _vec(out)
@@ -114,32 +119,46 @@ def _rhs_closure(model: TransportModel):
 
 
 def master_equation_rhs(rho: np.ndarray, model: TransportModel) -> np.ndarray:
-    """Right-hand side of the master equation at state rho."""
+    """Right-hand side of the master equation at state rho.
+
+    rho must be Hermitian to 1e-12, as ``check_density_matrix`` asks, or
+    ValueError is raised: the right-hand side uses rho H^dag = (H rho)^dag,
+    which holds only then.
+    """
     rho = np.asarray(rho, dtype=complex)
     n = model.n_sites
     if rho.shape != (n, n):
         raise ValueError(f"rho shape {rho.shape} does not match {n} sites")
+    check_hermitian(rho)
     return _unvec(_rhs_closure(model)(0.0, _vec(rho)), n)
 
 
 def _integrate(rhs, t_final: float, y0: np.ndarray, n_points: int | None = None,
-               times: np.ndarray | None = None, **kw):
-    """RK45 at RTOL/ATOL from 0 to t_final; IntegrationError if it fails.
+               times: np.ndarray | None = None, events: tuple = ()):
+    """DOP853 at RTOL/ATOL from 0 to t_final; IntegrationError if it fails.
 
-    With ``n_points`` the solution is sampled on ``times``, or on n_points
-    even steps from 0 to t_final when ``times`` is None. The horizon is
-    checked before the grid is built, so a bad one never reaches numpy.
+    The solution is sampled on ``times``, on n_points even steps from 0 to
+    t_final, or, with neither, at t_final alone. The horizon is checked
+    before the grid is built, so a bad one never reaches numpy. ``events``
+    keep their indices in ``sol.t_events``; one more, which never fires,
+    records the last accepted time for IntegrationError, as ``sol.t``
+    holds only the grid points reached.
     """
     if not 0 < t_final < math.inf:
         raise ValueError(f"t_final must be finite and > 0, got {t_final}")
-    if n_points is not None:
-        if times is None:
-            times = np.linspace(0.0, t_final, n_points)
-        kw["t_eval"] = np.asarray(times, dtype=float)
-    sol = solve_ivp(rhs, (0.0, t_final), y0, method="RK45", rtol=RTOL,
-                    atol=ATOL, **kw)
+    if times is None:
+        times = [t_final] if n_points is None else np.linspace(0.0, t_final, n_points)
+    t_reached = 0.0
+
+    def clock(t, y):
+        nonlocal t_reached
+        t_reached = float(t)
+        return 1.0
+
+    sol = solve_ivp(rhs, (0.0, t_final), y0, method="DOP853", rtol=RTOL,
+                    atol=ATOL, t_eval=np.asarray(times, dtype=float),
+                    events=[*events, clock])
     if sol.status < 0:
-        t_reached = sol.t[-1] if len(sol.t) else 0.0
         raise IntegrationError(f"integration failed: {sol.message}", t_reached)
     return sol
 
@@ -148,7 +167,7 @@ def propagate(rho0: np.ndarray, model: TransportModel, t_final: float,
               n_points: int = 2000, times: np.ndarray | None = None) -> Trajectory:
     """Integrate the master equation and record states on an output grid.
 
-    Adaptive embedded Runge-Kutta pair of order 4/5 in dense complex
+    Adaptive Dormand-Prince pair of order 8(5,3) (DOP853) in dense complex
     arithmetic. States are re-Hermitized at the output points.
     """
     check_density_matrix(rho0)
@@ -220,13 +239,16 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel,
 
     y0 = np.concatenate([_vec(np.asarray(rho0, dtype=complex)),
                          np.zeros(2, dtype=complex)])
-    sol = _integrate(rhs, t_max, y0, events=trace_event)
-    y_end = sol.y[:, -1]
+    sol = _integrate(rhs, t_max, y0, events=(trace_event,))
+    if sol.status == 1:  # the trace event stopped the integration
+        t_end, y_end = sol.t_events[0][-1], sol.y_events[0][-1]
+    else:
+        t_end, y_end = sol.t[-1], sol.y[:, -1]
     eta = 2.0 * model.trap_rate * y_end[n * n].real
     eta_loss = 2.0 * model.recomb_rate * y_end[n * n + 1].real
     residual = y_end[diag_idx].real.sum()
     return EfficiencyResult(eta=eta, eta_loss=eta_loss, residual_trace=residual,
-                            method=TIME_STEPPING, horizon=float(sol.t[-1]))
+                            method=TIME_STEPPING, horizon=float(t_end))
 
 
 def build_liouvillian(model: TransportModel) -> sp.csc_matrix:
@@ -312,7 +334,8 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
         raise SolverError(f"generator solve has backward error {backward:.2e} "
                           f"> {BACKWARD_ERROR_TOL:g}")
     big_x = _unvec(x, n)
-    eta = 2.0 * model.trap_rate * big_x[model.trap_site, model.trap_site].real
+    # + 0.0 turns a -0.0 from a trap the excitation never reaches into 0.0
+    eta = 2.0 * model.trap_rate * big_x[model.trap_site, model.trap_site].real + 0.0
     eta_loss = 2.0 * model.recomb_rate * np.trace(big_x).real
     return EfficiencyResult(eta=eta, eta_loss=eta_loss, residual_trace=0.0,
                             method=LIOUVILLIAN_SOLVE, horizon=math.inf)

@@ -150,6 +150,13 @@ def initial_state(topology: Topology, kind: str, site: int | None = None) -> np.
     return rho
 
 
+def check_hermitian(rho: np.ndarray) -> None:
+    """Raise ValueError unless the square matrix rho equals rho^dag to 1e-12."""
+    herm_err = np.abs(rho - rho.conj().T).max()
+    if herm_err > 1e-12:
+        raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm_err:.2e}")
+
+
 def check_density_matrix(rho: np.ndarray) -> None:
     """Validate Hermiticity (to 1e-12), trace in [0, 1] and positive
     semidefiniteness (both to 1e-9).
@@ -159,9 +166,7 @@ def check_density_matrix(rho: np.ndarray) -> None:
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
-    herm_err = np.abs(rho - rho.conj().T).max()
-    if herm_err > 1e-12:
-        raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm_err:.2e}")
+    check_hermitian(rho)
     tr = np.trace(rho)
     if abs(tr.imag) > 1e-9 or not -1e-9 <= tr.real <= 1.0 + 1e-9:
         raise ValueError(f"trace {tr} outside [0, 1]")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from enaqt import dynamics, ensemble
-from enaqt.dynamics import (EfficiencyResult, SolverError, _blas_on_one_thread,
+from enaqt.dynamics import (TRACE_TOL, EfficiencyResult, IntegrationError,
+                            SolverError, _blas_on_one_thread, _integrate,
                             _openblas_thread_controls, build_liouvillian,
                             compute_efficiency, efficiency_liouvillian,
                             efficiency_timestepping, master_equation_rhs,
@@ -18,6 +20,7 @@ from enaqt.model import (LEAF_MIXTURE, SINGLE_SITE, TransportModel,
 DIMER = build_custom(2, [(0, 1)])
 CHAIN3 = build_custom(3, [(0, 1), (1, 2)])
 CHAIN4 = build_custom(4, [(0, 1), (1, 2), (2, 3)])
+TREE4 = build_binary_tree(4)
 
 
 def dimer_model(**kw):
@@ -85,6 +88,15 @@ def test_rhs_rejects_wrong_shape():
         master_equation_rhs(np.zeros((3, 3)), dimer_model())
 
 
+def test_rhs_rejects_a_non_hermitian_state():
+    # the right-hand side forms rho H^dag as (H rho)^dag
+    m = dimer_model(dephasing_rate=0.3, trap_rate=1.0, recomb_rate=0.01)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        master_equation_rhs(np.array([[0.5, 0.1], [0.0, 0.5]]), m)
+    nearly = np.array([[0.5, 0.1 + 1e-13j], [0.1, 0.5]])
+    master_equation_rhs(nearly, m)
+
+
 # --- propagation ---
 
 def test_dimer_rabi_oscillation():
@@ -142,6 +154,14 @@ def test_propagate_validates_inputs(monkeypatch):
         with pytest.raises(ValueError):
             efficiency_timestepping(np.eye(2, dtype=complex) / 2, m,
                                     t_max=t_final)
+
+
+def test_integration_error_reports_the_last_accepted_time():
+    # y' = y^2 from y(0) = 1 blows up at t = 1; the default grid is t_final
+    # alone, which the failed run never reaches
+    with pytest.raises(IntegrationError) as info:
+        _integrate(lambda t, y: y ** 2, 2.0, np.array([1.0]))
+    assert abs(info.value.time_reached - 1.0) < 1e-6
 
 
 def test_dephasing_leaves_diagonal_invariant_without_hopping():
@@ -245,6 +265,42 @@ def test_trace_bookkeeping_budget(seed):
         assert abs(res.eta + res.eta_loss + res.residual_trace - 1.0) < 1e-6
 
 
+def test_trap_in_another_component_gives_positive_zero():
+    # the excitation starts on the pair {0, 1}; the trap sits on {2, 3}
+    split = build_custom(4, [(0, 1), (2, 3)])
+    m = TransportModel(topology=split,
+                       site_energies=tuple(sample_site_energies(1.0, 0, 0, 4)),
+                       trap_site=3, trap_rate=1.0, recomb_rate=0.01,
+                       dephasing_rate=0.5)
+    rho0 = initial_state(split, SINGLE_SITE, site=0)
+    for res in (efficiency_timestepping(rho0, m), efficiency_liouvillian(rho0, m)):
+        assert res.eta == 0.0
+        assert math.copysign(1.0, res.eta) == 1.0
+        assert abs(res.eta + res.eta_loss + res.residual_trace - 1.0) < 1e-9
+
+
+def test_timestepping_keeps_no_trajectory():
+    # about 1,700 steps of 227 complex numbers; kept step by step, the
+    # states of this run peak near 14 MB
+    rho0 = initial_state(TREE4, LEAF_MIXTURE)
+    m = TransportModel(topology=TREE4, site_energies=(0.0,) * 15, trap_site=0,
+                       trap_rate=1.0, recomb_rate=0.01, dephasing_rate=0.01)
+    tracemalloc.start()
+    try:
+        efficiency_timestepping(rho0, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
+def test_timestepping_returns_the_state_where_the_trace_event_fired():
+    m = dimer_model(trap_rate=1.0, recomb_rate=0.01, dephasing_rate=0.3)
+    res = efficiency_timestepping(initial_state(DIMER, SINGLE_SITE, site=0), m)
+    assert res.horizon < math.log(1.0 / TRACE_TOL) / (2.0 * m.recomb_rate)
+    assert abs(res.residual_trace - TRACE_TOL) < 1e-12
+
+
 def test_liouvillian_requires_positive_recombination():
     with pytest.raises(ValueError):
         efficiency_liouvillian(initial_state(DIMER, SINGLE_SITE, site=0),
@@ -297,7 +353,6 @@ def test_generator_applies_the_master_equation():
     assert np.abs(got - want).max() < 1e-13
 
 
-TREE4 = build_binary_tree(4)
 HARD_CASES = [
     # strong disorder, no dephasing, almost no loss: far from diagonal
     # dominance, where SuperLU without threshold pivoting breaks down
