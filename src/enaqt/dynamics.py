@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
 
 from .model import (TransportModel, apply_dephasing,
                     assemble_effective_hamiltonian, check_density_matrix,
@@ -148,6 +147,7 @@ def _integrate(rhs, t_final: float, y0: np.ndarray, n_points: int | None = None,
         raise ValueError(f"t_final must be finite and > 0, got {t_final}")
     if times is None:
         times = [t_final] if n_points is None else np.linspace(0.0, t_final, n_points)
+    from scipy.integrate import solve_ivp  # only time stepping needs it
     t_reached = 0.0
 
     def clock(t, y):
@@ -251,32 +251,97 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel,
                             method=TIME_STEPPING, horizon=float(t_end))
 
 
+def _csc_slots(rows: np.ndarray, cols: np.ndarray, size: int):
+    """CSC structure of distinct (rows, cols) positions: (indptr, indices,
+    slots), where entry t is stored at position slots[t]."""
+    by_col = np.lexsort((rows, cols))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=size))])
+    slots = np.empty_like(by_col)
+    slots[by_col] = np.arange(len(by_col))
+    return (indptr.astype(np.int32), rows[by_col].astype(np.int32), slots)
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """What every generator on one graph shares.
+
+    ``src``/``dst`` are the directed edges, both ways round. Generator
+    entries are listed as: -i h_ij at (i + n k, j + n k) for every edge and
+    k, then +i conj(h_ij) at (k + n i, k + n j), then the n^2 diagonal
+    entries; entry t is stored at ``slots[t]`` of the CSC structure
+    (``indptr``, ``indices``). ``perm`` is SuperLU's column order, which
+    moves column c of the generator to position perm[c]; the symmetrically
+    permuted generator has structure (``ordered_indptr``,
+    ``ordered_indices``) and data ``gen.data[to_ordered]``.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+    perm: np.ndarray
+    ordered_indptr: np.ndarray
+    ordered_indices: np.ndarray
+    to_ordered: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(n: int, edges: tuple[tuple[int, int], ...]) -> _Plan:
+    """The generator pattern of an n-site graph and its SuperLU order.
+
+    The diagonal is in the pattern whatever the rates: the direct solve
+    needs Gamma > 0, which makes every diagonal entry nonzero. The order is
+    SuperLU's minimum degree on G^T + G, taken from a factorization of the
+    pattern with unit entries under a dominant diagonal; it depends on the
+    pattern alone, so every model on the graph shares it.
+    """
+    e = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    src, dst = np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]])
+    k = np.arange(n)[:, None]
+    diag = np.arange(n * n)
+    rows = np.concatenate([(src + n * k).ravel(), (k + n * src).ravel(), diag])
+    cols = np.concatenate([(dst + n * k).ravel(), (k + n * dst).ravel(), diag])
+    indptr, indices, slots = _csc_slots(rows, cols, n * n)
+    data = np.ones(len(rows))
+    data[slots[-n * n:]] = 2.0 * n
+    pattern = sp.csc_matrix((data, indices, indptr), shape=(n * n, n * n))
+    # a copy: perm_c is a view that would keep the whole factor alive
+    perm = spla.splu(pattern, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                     options={"SymmetricMode": True}).perm_c.copy()
+    ordered_indptr, ordered_indices, ordered_slots = _csc_slots(
+        perm[rows], perm[cols], n * n)
+    to_ordered = np.empty_like(slots)
+    to_ordered[ordered_slots] = slots
+    plan = _Plan(src, dst, indptr, indices, slots, perm, ordered_indptr,
+                 ordered_indices, to_ordered)
+    for arr in vars(plan).values():
+        arr.flags.writeable = False
+    return plan
+
+
 def build_liouvillian(model: TransportModel) -> sp.csc_matrix:
     """Vectorized generator of the master equation (column-stacking).
 
-    -i(H rho - rho H^dag) becomes -i [I (x) H - conj(H) (x) I]: each nonzero
-    h_ij puts -i h_ij at (i + n k, j + n k) and +i conj(h_ij) at
-    (k + n i, k + n j) for every k, and the dephasing map is diagonal in the
-    site basis. Assembled once per model from these index arrays; the
-    entries that land on the same diagonal position are summed.
+    -i(H rho - rho H^dag) becomes -i [I (x) H - conj(H) (x) I]: each
+    off-diagonal h_ij puts -i h_ij at (i + n k, j + n k) and +i conj(h_ij)
+    at (k + n i, k + n j) for every k. The diagonal entry of rho_ik is
+    -i h_ii + i conj(h_kk), less the dephasing rate when i != k. The values
+    are written into the graph's cached CSC structure.
     """
     h = assemble_effective_hamiltonian(model)
     n = model.n_sites
-    i, j = np.nonzero(h)
-    hij = h[i, j]
-    k = np.arange(n)[:, None]
-    rows = [(i + n * k).ravel(), (k + n * i).ravel()]
-    cols = [(j + n * k).ravel(), (k + n * j).ravel()]
-    vals = [np.tile(-1j * hij, n), np.tile(1j * hij.conj(), n)]
+    plan = _plan(n, model.topology.edges)
+    hij = h[plan.src, plan.dst]
+    d = np.diag(h)
+    diag = -1j * d[:, None] + 1j * d.conj()
     rate = model.coherence_damping_rate
     if rate:
-        damp = _vec(apply_dephasing(np.ones((n, n)), rate))
-        on = np.flatnonzero(damp)
-        rows.append(on)
-        cols.append(on)
-        vals.append(damp[on])
-    return sp.csc_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
+        diag += apply_dephasing(np.ones((n, n)), rate)
+    data = np.empty(len(plan.slots), dtype=complex)
+    data[plan.slots] = np.concatenate([np.tile(-1j * hij, n),
+                                       np.tile(1j * hij.conj(), n), _vec(diag)])
+    return sp.csc_matrix((data, plan.indices.copy(), plan.indptr.copy()),
                          shape=(n * n, n * n))
 
 
@@ -292,7 +357,11 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
     h_ji), so SuperLU factors it in symmetric mode: a minimum-degree column
     order on G^T + G and pivots taken from the diagonal while they are
     at least 0.01 of the largest entry in their column. On hypercube d=6
-    that keeps 3.4 M nonzeros in the factors instead of 12.2 M.
+    that keeps 3.4 M nonzeros in the factors instead of 12.2 M. All models
+    on one graph share the pattern, and only the diagonal changes between
+    them, so the order is found once per graph from the pattern
+    (``_plan``); each solve permutes the generator symmetrically into that
+    order and factors it in natural order.
 
     The threshold is 0.01, not 0. With pure diagonal pivots, strong
     disorder (delta_eps = 10), no dephasing and Gamma = 1e-9 gave backward
@@ -316,11 +385,16 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
                          "(guarantees an invertible generator)")
     check_density_matrix(rho0)
     n = model.n_sites
+    plan = _plan(n, model.topology.edges)
     gen = build_liouvillian(model)
     b = -_vec(np.asarray(rho0, dtype=complex))
+    ordered = sp.csc_matrix((gen.data[plan.to_ordered], plan.ordered_indices,
+                             plan.ordered_indptr), shape=gen.shape)
+    ordered_b = np.empty_like(b)
+    ordered_b[plan.perm] = b
     try:
-        x = spla.splu(gen, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
-                      options={"SymmetricMode": True}).solve(b)
+        x = spla.splu(ordered, permc_spec="NATURAL", diag_pivot_thresh=0.01,
+                      options={"SymmetricMode": True}).solve(ordered_b)[plan.perm]
     except RuntimeError as exc:  # singular factorization
         raise SolverError(f"generator factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):

@@ -1,0 +1,192 @@
+"""The direct solve's generator, its per-graph plan, and properties of eta
+on random custom graphs."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from enaqt import dynamics
+from enaqt.dynamics import build_liouvillian, compute_efficiency, efficiency_liouvillian
+from enaqt.graph import build_binary_tree, build_custom, build_hypercube
+from enaqt.model import (LEAF_MIXTURE, TransportModel, apply_dephasing,
+                         assemble_effective_hamiltonian, initial_state)
+
+SRC = str(Path(dynamics.__file__).resolve().parents[1])
+
+
+def reference_generator(model):
+    """The generator summed from COO index arrays, one triplet list per
+    term, independently of the cached structure."""
+    h = assemble_effective_hamiltonian(model)
+    n = model.n_sites
+    i, j = np.nonzero(h)
+    hij = h[i, j]
+    k = np.arange(n)[:, None]
+    rows = [(i + n * k).ravel(), (k + n * i).ravel()]
+    cols = [(j + n * k).ravel(), (k + n * j).ravel()]
+    vals = [np.tile(-1j * hij, n), np.tile(1j * hij.conj(), n)]
+    rate = model.coherence_damping_rate
+    if rate:
+        damp = apply_dephasing(np.ones((n, n)), rate).flatten(order="F")
+        on = np.flatnonzero(damp)
+        rows.append(on)
+        cols.append(on)
+        vals.append(damp[on])
+    return sp.csc_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n * n, n * n))
+
+
+def random_model(topology, rng, **rates):
+    n = topology.n_sites
+    kw = dict(trap_site=int(rng.integers(n)), trap_rate=rng.uniform(0.2, 3.0),
+              recomb_rate=rng.uniform(0.005, 0.2),
+              dephasing_rate=rng.uniform(0.0, 3.0))
+    kw.update(rates)
+    return TransportModel(topology=topology,
+                          site_energies=tuple(rng.normal(0.0, 1.5, n)), **kw)
+
+
+def random_density_matrix(n, rng):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+def random_connected_graph(n, rng):
+    """A random spanning tree plus a few random extra edges."""
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+    for _ in range(int(rng.integers(n + 1))):
+        a, b = sorted(int(v) for v in rng.choice(n, size=2, replace=False))
+        edges.add((a, b))
+    return build_custom(n, sorted(edges))
+
+
+GRAPHS = {
+    "tree3": build_binary_tree(3),
+    "tree5": build_binary_tree(5),
+    "hypercube4": build_hypercube(4),
+    "dimer": build_custom(2, [(0, 1)]),
+    "single-site": build_custom(1, []),
+    "disconnected": build_custom(5, [(0, 1), (2, 3), (3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+@pytest.mark.parametrize("gamma_phi", [0.0, 0.7])
+def test_generator_matches_the_index_array_assembly(name, gamma_phi):
+    rng = np.random.default_rng(len(name))
+    m = random_model(GRAPHS[name], rng, dephasing_rate=gamma_phi)
+    got = build_liouvillian(m)
+    assert got.format == "csc" and got.has_canonical_format
+    assert np.array_equal(got.toarray(), reference_generator(m).toarray())
+
+
+def test_models_in_sequence_on_one_graph_leave_no_stale_values():
+    rng = np.random.default_rng(3)
+    t = GRAPHS["tree3"]
+    rho0 = initial_state(t, LEAF_MIXTURE)
+    models = [random_model(t, rng, dephasing_rate=g) for g in (0.0, 2.0, 0.0, 0.3)]
+    for m in models + models[::-1]:
+        assert np.array_equal(build_liouvillian(m).toarray(),
+                              reference_generator(m).toarray())
+        x = np.linalg.solve(reference_generator(m).toarray(),
+                            -rho0.flatten(order="F"))
+        assert abs(efficiency_liouvillian(rho0, m).eta
+                   - 2 * m.trap_rate * x[m.trap_site * 8].real) < 1e-12
+
+
+def test_the_generator_does_not_share_arrays_with_the_plan():
+    m = random_model(GRAPHS["tree3"], np.random.default_rng(1))
+    gen = build_liouvillian(m)
+    gen.indices[:] = 0
+    gen.indptr[:] = 0
+    assert np.array_equal(build_liouvillian(m).toarray(),
+                          reference_generator(m).toarray())
+
+
+def test_the_order_depends_on_the_graph_alone():
+    t = GRAPHS["hypercube4"]
+    dynamics._plan.cache_clear()
+    first = dynamics._plan(t.n_sites, t.edges).perm.copy()
+    dynamics._plan.cache_clear()
+    assert np.array_equal(dynamics._plan(t.n_sites, t.edges).perm, first)
+    assert sorted(first) == list(range(t.n_sites ** 2))
+
+
+def test_the_plan_holds_no_view_into_the_factor():
+    # SuperLU's perm_c is a view onto the factor; a cached view would keep
+    # the pattern's whole LU factor alive
+    t = GRAPHS["tree5"]
+    plan = dynamics._plan(t.n_sites, t.edges)
+    assert all(arr.base is None for arr in vars(plan).values())
+
+
+HEX_SCRIPT = """
+import numpy as np
+from enaqt import dynamics, graph, model
+t = graph.build_binary_tree(5)
+m = model.TransportModel(topology=t, trap_site=0, dephasing_rate=0.3,
+                         site_energies=tuple(np.random.default_rng(9).normal(0, 1.2, 31)))
+res = dynamics.compute_efficiency(model.initial_state(t, model.LEAF_MIXTURE), m)
+print(dynamics._plan.cache_info().misses, res.eta.hex(), res.eta_loss.hex())
+"""
+
+
+def test_cold_and_warm_plan_caches_give_the_same_bits():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    cold = subprocess.run([sys.executable, "-c", HEX_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True).stdout.split()
+    assert cold[0] == "1"
+    t = build_binary_tree(5)
+    rng = np.random.default_rng(4)
+    rho0 = initial_state(t, LEAF_MIXTURE)
+    for gamma_phi in (0.0, 0.01, 5.0):
+        compute_efficiency(rho0, random_model(t, rng, dephasing_rate=gamma_phi))
+    m = TransportModel(topology=t, trap_site=0, dephasing_rate=0.3,
+                       site_energies=tuple(np.random.default_rng(9).normal(0, 1.2, 31)))
+    warm = compute_efficiency(rho0, m)
+    assert cold[1:] == [warm.eta.hex(), warm.eta_loss.hex()]
+
+
+# --- properties on random connected custom graphs ---
+
+def test_direct_eta_on_random_custom_graphs():
+    rng = np.random.default_rng(20261019)
+    for _ in range(25):
+        n = int(rng.integers(2, 13))
+        t = random_connected_graph(n, rng)
+        m = random_model(t, rng)
+        rho0 = random_density_matrix(n, rng)
+        res = efficiency_liouvillian(rho0, m)
+        x = np.linalg.solve(reference_generator(m).toarray(),
+                            -rho0.flatten(order="F"))
+        assert abs(res.eta - 2 * m.trap_rate * x[m.trap_site * (n + 1)].real) < 1e-10
+        assert abs(res.eta + res.eta_loss - 1.0) < 1e-9
+
+        # relabel the sites by a random permutation
+        p = rng.permutation(n)
+        relabelled = build_custom(n, [(p[a], p[b]) for a, b in t.edges])
+        energies = np.empty(n)
+        energies[p] = m.site_energies
+        m2 = TransportModel(topology=relabelled, site_energies=tuple(energies),
+                            trap_site=int(p[m.trap_site]), trap_rate=m.trap_rate,
+                            recomb_rate=m.recomb_rate,
+                            dephasing_rate=m.dephasing_rate)
+        rho2 = np.empty_like(rho0)
+        rho2[np.ix_(p, p)] = rho0
+        assert abs(efficiency_liouvillian(rho2, m2).eta - res.eta) < 1e-12
+
+        # more loss never traps more
+        etas = [efficiency_liouvillian(rho0, TransportModel(
+                    topology=t, site_energies=m.site_energies,
+                    trap_site=m.trap_site, trap_rate=m.trap_rate,
+                    recomb_rate=gamma, dephasing_rate=m.dephasing_rate)).eta
+                for gamma in (0.001, 0.01, 0.1, 1.0)]
+        assert all(b <= a + 1e-12 for a, b in zip(etas, etas[1:]))
+

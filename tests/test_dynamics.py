@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -142,7 +145,7 @@ def test_propagate_validates_inputs(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("solve_ivp reached with a bad input")
 
-    monkeypatch.setattr(dynamics, "solve_ivp", unreachable)
+    monkeypatch.setattr("scipy.integrate.solve_ivp", unreachable)
     m = dimer_model()
     with pytest.raises(ValueError):
         propagate(np.eye(2, dtype=complex), m, 1.0)  # trace 2
@@ -154,6 +157,19 @@ def test_propagate_validates_inputs(monkeypatch):
         with pytest.raises(ValueError):
             efficiency_timestepping(np.eye(2, dtype=complex) / 2, m,
                                     t_max=t_final)
+
+
+def test_importing_the_package_leaves_scipy_integrate_unloaded():
+    # only time stepping needs solve_ivp; start-up of every other path
+    # should not pay for importing it
+    src = os.path.dirname(os.path.dirname(dynamics.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, enaqt, enaqt.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_integration_error_reports_the_last_accepted_time():
@@ -396,7 +412,8 @@ def test_direct_solve_rejects_a_large_backward_error(monkeypatch):
 
 
 def test_direct_solve_builds_one_generator_and_one_factor(monkeypatch):
-    # the benchmark traces these two calls inside every direct solve
+    # the benchmark traces these two calls inside every direct solve; a
+    # graph's first solve also factors its pattern once, for the order
     calls = []
     build, splu = dynamics.build_liouvillian, spla.splu
 
@@ -408,14 +425,19 @@ def test_direct_solve_builds_one_generator_and_one_factor(monkeypatch):
 
     monkeypatch.setattr(dynamics, "build_liouvillian", spy("generator", build))
     monkeypatch.setattr(spla, "splu", spy("splu", splu))
+    dynamics._plan.cache_clear()
     t = build_binary_tree(3)
     grid = ensemble.SweepGrid(topology=t, disorder_values=(0.5,),
                               dephasing_values=(0.1,), n_realizations=1,
                               initial_kind=LEAF_MIXTURE)
     ensemble.run_point(grid, 0.5, 0.1, 0)
+    assert calls == ["splu", "generator", "splu"]
+    calls.clear()
+    ensemble.run_point(grid, 0.5, 0.1, 0)
     assert calls == ["generator", "splu"]
+    calls.clear()
     efficiency_liouvillian(grid.initial_state(), grid.model(0.5, 0.1, 0))
-    assert calls == ["generator", "splu"] * 2
+    assert calls == ["generator", "splu"]
 
 
 def set_openblas_threads(counts):
