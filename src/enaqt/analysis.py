@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import null_space
 
 from .ensemble import SweepTable
 
@@ -41,8 +42,8 @@ def invariant_subspace(h_system: np.ndarray, trap_site: int) -> InvariantSubspac
     Eigenvalues are grouped into clusters when consecutive gaps fall below
     DEGENERACY_TOL * ||H||; ordered lattices have exact degeneracies while
     disordered ones have none, and the tolerance separates the two regimes.
-    Within a cluster the component along the trap-coefficient vector is
-    projected out and the remainder re-orthonormalized.
+    Within a cluster the basis is the orthonormal null space of the
+    cluster's trap row: the combinations with no amplitude on the trap.
     """
     h = np.asarray(h_system)
     if np.abs(h - h.conj().T).max() > 1e-10:
@@ -52,30 +53,17 @@ def invariant_subspace(h_system: np.ndarray, trap_site: int) -> InvariantSubspac
         raise ValueError(f"trap site {trap_site} out of range")
     evals, evecs = np.linalg.eigh(h)
     scale = max(float(np.abs(evals).max()), 1.0)
+    cuts = np.flatnonzero(np.diff(evals) >= DEGENERACY_TOL * scale) + 1
     columns = []
     clusters = []
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and evals[stop] - evals[stop - 1] < DEGENERACY_TOL * scale:
-            stop += 1
-        block = evecs[:, start:stop]
-        coeff = block.conj().T[:, trap_site]   # <v_i|trap> per cluster vector
-        overlap = float(np.linalg.norm(coeff))
-        clusters.append((float(evals[start:stop].mean()), stop - start, overlap))
+    for energies, block in zip(np.split(evals, cuts), np.split(evecs, cuts, axis=1)):
+        overlap = float(np.linalg.norm(block[trap_site]))
+        clusters.append((float(energies.mean()), len(energies), overlap))
         if overlap < OVERLAP_TOL:
             columns.append(block)
-        elif stop - start > 1:
-            unit = coeff / overlap
-            proj = np.eye(stop - start) - np.outer(unit, unit.conj())
-            u, s, _ = np.linalg.svd(proj)
-            columns.append(block @ u[:, s > 0.5])
-        start = stop
-    if columns:
-        basis = np.hstack(columns)
-    else:
-        basis = np.zeros((n, 0), dtype=evecs.dtype)
-    return InvariantSubspace(basis=basis, trap_site=trap_site,
+        else:
+            columns.append(block @ null_space(block[trap_site][None, :]))
+    return InvariantSubspace(basis=np.hstack(columns), trap_site=trap_site,
                              clusters=tuple(clusters))
 
 

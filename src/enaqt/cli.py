@@ -104,13 +104,14 @@ def _build_topology(args, parser) -> graph.Topology:
 
 
 def _resolve_trap(args, top: graph.Topology, parser) -> int:
+    # the root of a tree is site 0 (heap label 1), as is the default trap
     if args.trap is None:
-        return graph.root(top) if top.kind == graph.BINARY_TREE else 0
+        return 0
     if args.trap == "root":
         if top.kind != graph.BINARY_TREE:
             parser.error("--trap root is only defined for binary trees; "
                          "give a 0-based site index")
-        return graph.root(top)
+        return 0
     try:
         trap = int(args.trap)
     except ValueError:

@@ -251,16 +251,6 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel,
                             method=TIME_STEPPING, horizon=float(t_end))
 
 
-def _csc_slots(rows: np.ndarray, cols: np.ndarray, size: int):
-    """CSC structure of distinct (rows, cols) positions: (indptr, indices,
-    slots), where entry t is stored at position slots[t]."""
-    by_col = np.lexsort((rows, cols))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=size))])
-    slots = np.empty_like(by_col)
-    slots[by_col] = np.arange(len(by_col))
-    return (indptr.astype(np.int32), rows[by_col].astype(np.int32), slots)
-
-
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """What every generator on one graph shares.
@@ -268,8 +258,8 @@ class _Plan:
     ``src``/``dst`` are the directed edges, both ways round. Generator
     entries are listed as: -i h_ij at (i + n k, j + n k) for every edge and
     k, then +i conj(h_ij) at (k + n i, k + n j), then the n^2 diagonal
-    entries; entry t is stored at ``slots[t]`` of the CSC structure
-    (``indptr``, ``indices``). ``perm`` is SuperLU's column order, which
+    entries; position p of the CSC structure (``indptr``, ``indices``)
+    stores entry ``entries[p]``. ``perm`` is SuperLU's column order, which
     moves column c of the generator to position perm[c]; the symmetrically
     permuted generator has structure (``ordered_indptr``,
     ``ordered_indices``) and data ``gen.data[to_ordered]``.
@@ -279,7 +269,7 @@ class _Plan:
     dst: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    slots: np.ndarray
+    entries: np.ndarray
     perm: np.ndarray
     ordered_indptr: np.ndarray
     ordered_indices: np.ndarray
@@ -302,19 +292,21 @@ def _plan(n: int, edges: tuple[tuple[int, int], ...]) -> _Plan:
     diag = np.arange(n * n)
     rows = np.concatenate([(src + n * k).ravel(), (k + n * src).ravel(), diag])
     cols = np.concatenate([(dst + n * k).ravel(), (k + n * dst).ravel(), diag])
-    indptr, indices, slots = _csc_slots(rows, cols, n * n)
-    data = np.ones(len(rows))
-    data[slots[-n * n:]] = 2.0 * n
+
+    def numbered(r, c):
+        """CSC structure of the distinct positions (r[t], c[t]) with t
+        stored at each; copied, as scipy may return views of its buffers."""
+        m = sp.csc_matrix((np.arange(len(r)), (r, c)), shape=(n * n, n * n))
+        return m.indptr.copy(), m.indices.copy(), m.data.copy()
+
+    indptr, indices, entries = numbered(rows, cols)
+    data = np.where(entries < len(rows) - n * n, 1.0, 2.0 * n)
     pattern = sp.csc_matrix((data, indices, indptr), shape=(n * n, n * n))
     # a copy: perm_c is a view that would keep the whole factor alive
     perm = spla.splu(pattern, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
                      options={"SymmetricMode": True}).perm_c.copy()
-    ordered_indptr, ordered_indices, ordered_slots = _csc_slots(
-        perm[rows], perm[cols], n * n)
-    to_ordered = np.empty_like(slots)
-    to_ordered[ordered_slots] = slots
-    plan = _Plan(src, dst, indptr, indices, slots, perm, ordered_indptr,
-                 ordered_indices, to_ordered)
+    plan = _Plan(src, dst, indptr, indices, entries, perm,
+                 *numbered(perm[rows[entries]], perm[cols[entries]]))
     for arr in vars(plan).values():
         arr.flags.writeable = False
     return plan
@@ -338,9 +330,8 @@ def build_liouvillian(model: TransportModel) -> sp.csc_matrix:
     rate = model.coherence_damping_rate
     if rate:
         diag += apply_dephasing(np.ones((n, n)), rate)
-    data = np.empty(len(plan.slots), dtype=complex)
-    data[plan.slots] = np.concatenate([np.tile(-1j * hij, n),
-                                       np.tile(1j * hij.conj(), n), _vec(diag)])
+    data = np.concatenate([np.tile(-1j * hij, n), np.tile(1j * hij.conj(), n),
+                           _vec(diag)])[plan.entries]
     return sp.csc_matrix((data, plan.indices.copy(), plan.indptr.copy()),
                          shape=(n * n, n * n))
 

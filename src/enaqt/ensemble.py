@@ -17,8 +17,7 @@ import numpy as np
 
 from .dynamics import compute_efficiency, EfficiencyResult
 from .graph import Topology
-from .model import (INITIAL_STATE_KINDS, TransportModel, initial_state,
-                    sample_site_energies)
+from .model import TransportModel, initial_state, sample_site_energies
 
 DEFAULT_MASTER_SEED = 424242
 
@@ -74,8 +73,13 @@ class SweepGrid:
                 raise ValueError(f"{name} must be finite")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
-        if self.initial_kind not in INITIAL_STATE_KINDS:
-            raise ValueError(f"unknown initial-state kind {self.initial_kind!r}")
+        # the state and the rates every job will use, checked once here
+        # rather than failing in every job; no energies are drawn
+        self.initial_state()
+        TransportModel(topology=self.topology,
+                       site_energies=(0.0,) * self.topology.n_sites,
+                       trap_site=self.trap_site, trap_rate=self.trap_rate,
+                       recomb_rate=self.recomb_rate)
 
     def model(self, delta_eps: float, gamma_phi: float,
               realization_index: int) -> TransportModel:

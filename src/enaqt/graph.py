@@ -88,12 +88,6 @@ def tree_generations(topology: Topology) -> int:
     return g
 
 
-def root(topology: Topology) -> int:
-    """Root site of a binary tree (always index 0, heap label 1)."""
-    tree_generations(topology)
-    return 0
-
-
 def leaves(topology: Topology) -> list[int]:
     """Leaf sites of a binary tree: the last 2^(g-1) heap labels."""
     g = tree_generations(topology)

@@ -19,8 +19,6 @@ LEAF_MIXTURE = "leaf-mixture"
 UNIFORM_MIXTURE = "uniform-mixture"
 SINGLE_SITE = "single-site"
 
-INITIAL_STATE_KINDS = (LEAF_MIXTURE, UNIFORM_MIXTURE, SINGLE_SITE)
-
 
 def sample_site_energies(std_dev: float, master_seed: int,
                          realization_index: int, n_sites: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """The direct solve's generator, its per-graph plan, and properties of eta
-on random custom graphs."""
+and of the invariant-subspace bound on random custom graphs."""
+import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -9,11 +11,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from enaqt import dynamics
+from enaqt import analysis, dynamics
 from enaqt.dynamics import build_liouvillian, compute_efficiency, efficiency_liouvillian
 from enaqt.graph import build_binary_tree, build_custom, build_hypercube
 from enaqt.model import (LEAF_MIXTURE, TransportModel, apply_dephasing,
-                         assemble_effective_hamiltonian, initial_state)
+                         assemble_effective_hamiltonian,
+                         assemble_system_hamiltonian, initial_state)
 
 SRC = str(Path(dynamics.__file__).resolve().parents[1])
 
@@ -190,3 +193,61 @@ def test_direct_eta_on_random_custom_graphs():
                 for gamma in (0.001, 0.01, 0.1, 1.0)]
         assert all(b <= a + 1e-12 for a, b in zip(etas, etas[1:]))
 
+
+def zero_dephasing_cases():
+    """30 models at gamma_phi = 0 with random traps, rates and initial
+    states: first five ordered graphs at zero energies, whose degenerate
+    spectra hold dark states for any trap, then random connected graphs
+    with N <= 24 at zero or disordered energies."""
+    rng = np.random.default_rng(20261020)
+    graphs = [build_binary_tree(3), build_binary_tree(4), build_hypercube(3),
+              build_custom(6, [(0, k) for k in range(1, 6)]),
+              build_custom(5, list(itertools.combinations(range(5), 2)))]
+    graphs += [random_connected_graph(int(rng.integers(2, 25)), rng)
+               for _ in range(30 - len(graphs))]
+    cases = []
+    for k, t in enumerate(graphs):
+        m = random_model(t, rng, dephasing_rate=0.0)
+        if k < 5 or rng.random() < 0.5:
+            m = dataclasses.replace(m, site_energies=(0.0,) * t.n_sites)
+        cases.append((m, random_density_matrix(t.n_sites, rng)))
+    return cases
+
+
+def subspace_of(m):
+    h = assemble_system_hamiltonian(m.topology, m.site_energies)
+    return h, analysis.invariant_subspace(h, m.trap_site)
+
+
+def test_eta_stays_under_the_invariant_subspace_bound_at_zero_dephasing():
+    bounds = []
+    for m, rho0 in zero_dephasing_cases():
+        bound = analysis.efficiency_upper_bound(subspace_of(m)[1], rho0)
+        assert compute_efficiency(rho0, m).eta <= bound + 1e-9
+        bounds.append(bound)
+    # the bound must bite on the ordered graphs' dark states
+    assert all(b < 1.0 - 1e-6 for b in bounds[:5])
+
+
+def test_invariant_subspace_is_an_orthonormal_trap_free_invariant_basis():
+    for m, _ in zero_dephasing_cases():
+        h, sub = subspace_of(m)
+        b = sub.basis
+        assert np.abs(b.conj().T @ b - np.eye(sub.dimension)).max(initial=0.0) < 1e-12
+        assert np.abs(b[m.trap_site]).max(initial=0.0) < 1e-12
+        assert np.linalg.norm(h @ b - b @ (b.conj().T @ h @ b)) < 1e-10
+        coupled = sum(overlap >= analysis.OVERLAP_TOL
+                      for _, _, overlap in sub.clusters)
+        assert sub.dimension == m.n_sites - coupled
+
+
+def test_direct_solve_agrees_with_time_stepping_on_random_graphs():
+    rng = np.random.default_rng(20261021)
+    for _ in range(6):
+        n = int(rng.integers(8, 25))
+        m = random_model(random_connected_graph(n, rng), rng)
+        rho0 = random_density_matrix(n, rng)
+        direct = compute_efficiency(rho0, m)
+        stepped = compute_efficiency(rho0, m, solver="timestepping")
+        assert abs(direct.eta - stepped.eta) < 1e-6
+        assert abs(direct.eta_loss - stepped.eta_loss) < 1e-6

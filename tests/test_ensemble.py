@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from enaqt import dynamics
+from enaqt import dynamics, ensemble
 from enaqt.ensemble import (DEFAULT_MASTER_SEED, SweepGrid, SweepTable,
                             cell_seed, default_dephasing_grid,
                             default_disorder_grid, dephasing_profile,
                             load_sweep_config, log_dephasing_grid,
                             parse_grid_values, run_point, run_sweep)
 from enaqt.graph import build_binary_tree, build_hypercube
-from enaqt.model import LEAF_MIXTURE, UNIFORM_MIXTURE
+from enaqt.model import LEAF_MIXTURE, SINGLE_SITE, UNIFORM_MIXTURE
 
 TREE5 = build_binary_tree(5)
 TREE3 = build_binary_tree(3)
@@ -32,6 +32,28 @@ def test_grid_validation():
         tree_grid(n_realizations=0)
     with pytest.raises(ValueError):
         tree_grid(initial_kind="bogus")
+
+
+@pytest.mark.parametrize("kw, match", [
+    (dict(trap_rate=np.nan), "trap_rate"),
+    (dict(recomb_rate=-1.0), "recomb_rate"),
+    (dict(trap_site=99), "trap site 99"),
+    (dict(initial_kind=SINGLE_SITE), "valid site"),
+    (dict(initial_kind=SINGLE_SITE, initial_site=31), "valid site"),
+    (dict(topology=HYPER4), "binary tree"),   # leaf mixture off a tree
+])
+def test_grid_rejects_an_invalid_problem_when_built(kw, match):
+    with pytest.raises(ValueError, match=match):
+        tree_grid(**kw)
+
+
+def test_building_a_grid_draws_no_energies(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("energies drawn while building the grid")
+
+    monkeypatch.setattr(ensemble, "cell_seed", no_draw)
+    monkeypatch.setattr(ensemble, "sample_site_energies", no_draw)
+    tree_grid(disorder_values=(0.0, 1.0, 2.5))
 
 
 @pytest.mark.parametrize("axis", ["disorder_values", "dephasing_values"])

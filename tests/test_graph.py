@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from enaqt.graph import (adjacency_matrix, build_binary_tree, build_custom,
-                         build_hypercube, leaves, load_edge_list, neighbors,
-                         root)
+                         build_hypercube, leaves, load_edge_list, neighbors)
 
 
 def bfs_component(n_sites, edges, start=0):
@@ -23,7 +22,6 @@ def test_tree_single_generation():
     assert t.n_sites == 1
     assert t.edges == ()
     assert leaves(t) == [0]
-    assert root(t) == 0
 
 
 def test_tree_five_generations():
@@ -32,7 +30,6 @@ def test_tree_five_generations():
     assert len(t.edges) == 30
     # leaves carry heap labels 16..31, i.e. indices 15..30
     assert leaves(t) == list(range(15, 31))
-    assert root(t) == 0
 
 
 def test_tree_three_generations_edge_set():
@@ -119,8 +116,6 @@ def test_leaves_root_reject_non_trees():
     t = build_hypercube(2)
     with pytest.raises(ValueError):
         leaves(t)
-    with pytest.raises(ValueError):
-        root(t)
 
 
 @pytest.mark.parametrize("top", [
