@@ -40,8 +40,19 @@ RTOL = 1e-8
 ATOL = 1e-10
 FALLBACK_HORIZON = 1e4  # integration horizon when recomb_rate == 0
 # largest ||G x - b||_1 / (||G||_1 ||x||_1 + ||b||_1) a direct solve may
-# return; good solves stay below 2e-13, unpivoted failures reach 1e-9 to 1e-8
+# return; good solves stay below 2e-13, and with pure diagonal pivots the
+# real system's solves reached 1e-10 to 5e-9
 BACKWARD_ERROR_TOL = 1e-10
+# SuperLU settings of every factorization. Pivots stay on the diagonal while
+# they are at least PIVOT_THRESHOLD of the largest entry in their column
+# (see efficiency_liouvillian). scipy's default supernodes (panel 20, relax
+# 10) pad small supernodes with explicit zeros, which on tree g=7 takes the
+# real factors from 1.03 M to 1.45 M nonzeros and the solve from 70 to
+# 135 ms; relax 2 keeps the tree factors lean, and panels of 8 columns keep
+# most of the BLAS-3 speed on hypercube d=6 (600 ms, against 950 ms at 1).
+PIVOT_THRESHOLD = 0.01
+PANEL_SIZE = 8
+RELAX = 2
 
 
 class IntegrationError(RuntimeError):
@@ -251,6 +262,14 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel,
                             method=TIME_STEPPING, horizon=float(t_end))
 
 
+def _factor(matrix: sp.csc_matrix, order: str):
+    """SuperLU in symmetric mode, in column order ``order``, at the fixed
+    pivot threshold and supernode sizes."""
+    return spla.splu(matrix, permc_spec=order, diag_pivot_thresh=PIVOT_THRESHOLD,
+                     relax=RELAX, panel_size=PANEL_SIZE,
+                     options={"SymmetricMode": True})
+
+
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """What every generator on one graph shares.
@@ -259,10 +278,15 @@ class _Plan:
     entries are listed as: -i h_ij at (i + n k, j + n k) for every edge and
     k, then +i conj(h_ij) at (k + n i, k + n j), then the n^2 diagonal
     entries; position p of the CSC structure (``indptr``, ``indices``)
-    stores entry ``entries[p]``. ``perm`` is SuperLU's column order, which
-    moves column c of the generator to position perm[c]; the symmetrically
-    permuted generator has structure (``ordered_indptr``,
-    ``ordered_indices``) and data ``gen.data[to_ordered]``.
+    stores entry ``entries[p]``.
+
+    The direct solve factors the real system of ``efficiency_liouvillian``,
+    permuted on both sides so that its unknown c sits at position perm[c].
+    The permuted matrix has structure (``ordered_indptr``,
+    ``ordered_indices``); each of its entries sums one or two terms, and
+    term t is ``sign[t]`` times float ``gather[t]`` of the generator's data
+    (the real part of position p is float 2p, the imaginary part 2p + 1),
+    stored at position ``to_ordered[t]``.
     """
 
     src: np.ndarray
@@ -273,40 +297,78 @@ class _Plan:
     perm: np.ndarray
     ordered_indptr: np.ndarray
     ordered_indices: np.ndarray
+    gather: np.ndarray
+    sign: np.ndarray
     to_ordered: np.ndarray
+
+    def real_system(self, gen: sp.csc_matrix) -> sp.csc_matrix:
+        """The permuted real matrix of the generator ``gen``."""
+        data = np.bincount(self.to_ordered,
+                           self.sign * gen.data.view(np.float64)[self.gather],
+                           minlength=len(self.ordered_indices))
+        return sp.csc_matrix((data, self.ordered_indices, self.ordered_indptr),
+                             shape=gen.shape)
 
 
 @functools.lru_cache(maxsize=8)
 def _plan(n: int, edges: tuple[tuple[int, int], ...]) -> _Plan:
-    """The generator pattern of an n-site graph and its SuperLU order.
+    """The generator pattern of an n-site graph, its real system and order.
 
     The diagonal is in the pattern whatever the rates: the direct solve
     needs Gamma > 0, which makes every diagonal entry nonzero. The order is
-    SuperLU's minimum degree on G^T + G, taken from a factorization of the
-    pattern with unit entries under a dominant diagonal; it depends on the
-    pattern alone, so every model on the graph shares it.
+    SuperLU's minimum degree on the pair graph, which has one node per pair
+    {i, j} and an edge wherever the real system couples two pairs. It is
+    taken from a factorization of that pattern with unit entries under a
+    dominant diagonal and expanded so that each pair's two unknowns are
+    adjacent. It depends on the pattern alone, so every model on the graph
+    shares it.
     """
     e = np.array(edges, dtype=np.intp).reshape(-1, 2)
     src, dst = np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]])
+    nn = n * n
     k = np.arange(n)[:, None]
-    diag = np.arange(n * n)
+    diag = np.arange(nn)
     rows = np.concatenate([(src + n * k).ravel(), (k + n * src).ravel(), diag])
     cols = np.concatenate([(dst + n * k).ravel(), (k + n * dst).ravel(), diag])
+    # copied, as scipy may return views of its conversion buffers
+    numbered = sp.csc_matrix((np.arange(len(rows)), (rows, cols)), shape=(nn, nn))
+    indptr, indices = numbered.indptr.copy(), numbered.indices.copy()
+    entries = numbered.data.copy()
 
-    def numbered(r, c):
-        """CSC structure of the distinct positions (r[t], c[t]) with t
-        stored at each; copied, as scipy may return views of its buffers."""
-        m = sp.csc_matrix((np.arange(len(r)), (r, c)), shape=(n * n, n * n))
-        return m.indptr.copy(), m.indices.copy(), m.data.copy()
+    # unknown i + n j is Re X_ij for i >= j and Im X_ij for i < j, so
+    # x_ij = y[re] + i s y[im] over the pair's two unknowns, with s = +1
+    # above the diagonal, -1 below it and no second term on it
+    i, j = diag % n, diag // n
+    re = np.maximum(i, j) + n * np.minimum(i, j)
+    im = np.minimum(i, j) + n * np.maximum(i, j)
+    col = np.repeat(diag, np.diff(indptr))
+    off = i[col] != j[col]
+    s = np.where(i[col] < j[col], 1.0, -1.0)[off]
+    # row i + n j keeps the real part for i >= j and the imaginary part
+    # for i < j: Re(g) and Im(g), or Re(i s g) = -s Im(g) and
+    # Im(i s g) = s Re(g)
+    re_row = i[indices] >= j[indices]
+    p = np.arange(len(indices))
+    real_rows = np.concatenate([indices, indices[off]])
+    real_cols = np.concatenate([re[col], im[col][off]])
+    gather = np.concatenate([2 * p + ~re_row, 2 * p[off] + re_row[off]])
+    sign = np.concatenate([np.ones(len(p)), np.where(re_row[off], -s, s)])
 
-    indptr, indices, entries = numbered(rows, cols)
-    data = np.where(entries < len(rows) - n * n, 1.0, 2.0 * n)
-    pattern = sp.csc_matrix((data, indices, indptr), shape=(n * n, n * n))
-    # a copy: perm_c is a view that would keep the whole factor alive
-    perm = spla.splu(pattern, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
-                     options={"SymmetricMode": True}).perm_c.copy()
+    n_pairs = n * (n + 1) // 2
+    pair = np.unique(re, return_inverse=True)[1]
+    pattern = sp.csc_matrix(
+        (np.where(pair[real_rows] == pair[real_cols], 4.0 * n, 1.0),
+         (pair[real_rows], pair[real_cols])), shape=(n_pairs, n_pairs))
+    by_position = np.argsort(_factor(pattern, "MMD_AT_PLUS_A").perm_c)
+    size = np.bincount(pair)
+    start = np.empty(n_pairs, dtype=np.intp)
+    start[by_position] = np.cumsum(size[by_position]) - size[by_position]
+    perm = start[pair] + (i < j)
+    keys, to_ordered = np.unique(perm[real_cols] * nn + perm[real_rows],
+                                 return_inverse=True)
     plan = _Plan(src, dst, indptr, indices, entries, perm,
-                 *numbered(perm[rows[entries]], perm[cols[entries]]))
+                 np.searchsorted(keys // nn, np.arange(nn + 1)).astype(np.int32),
+                 (keys % nn).astype(np.int32), gather, sign, to_ordered.copy())
     for arr in vars(plan).values():
         arr.flags.writeable = False
     return plan
@@ -344,27 +406,37 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
     eta = 2 kappa X[trap, trap]. No truncation error and fixed cost, which
     makes this the default for sweep production.
 
-    The generator's sparsity pattern is symmetric (each h_ij pairs with
-    h_ji), so SuperLU factors it in symmetric mode: a minimum-degree column
-    order on G^T + G and pivots taken from the diagonal while they are
-    at least 0.01 of the largest entry in their column. On hypercube d=6
-    that keeps 3.4 M nonzeros in the factors instead of 12.2 M. All models
-    on one graph share the pattern, and only the diagonal changes between
-    them, so the order is found once per graph from the pattern
-    (``_plan``); each solve permutes the generator symmetrically into that
-    order and factors it in natural order.
+    X is Hermitian, and the generator G maps Hermitian matrices to
+    Hermitian ones, so the solve runs on n^2 real unknowns instead of n^2
+    complex ones: y[i + n j] is Re X_ij for i >= j and Im X_ij for i < j,
+    and row i + n j of the real system is the real part of
+    (G x + vec rho0) at (i, j) for i >= j and its imaginary part for
+    i < j. These n^2 numbers fix G x, so the system is exact for every
+    model, and it is as well conditioned as G; eliminating its Re or Im
+    half instead would square the condition number. All models on one
+    graph share its pattern, so ``_plan`` finds a minimum-degree order once
+    per graph, on the pair graph, and keeps the gather that writes a
+    model's real entries from its generator. Each solve factors the
+    permuted real system with SuperLU in symmetric mode, in natural order,
+    taking pivots from the diagonal while they are at least
+    PIVOT_THRESHOLD of the largest entry in their column. On hypercube d=6
+    the factors hold 3.48 M real nonzeros, where the complex generator's
+    held 3.4 M complex ones; minimum degree on the real pattern itself
+    gave 3.53 M, and on tree g=7 1.09 M against the pair graph's 1.03 M.
 
-    The threshold is 0.01, not 0. With pure diagonal pivots, strong
-    disorder (delta_eps = 10), no dephasing and Gamma = 1e-9 gave backward
-    errors up to 1e-8, eta off by 1e-2, or an exactly singular factor on
-    tree g=5. At 0.01 the backward error stayed below 1e-14 on trees
-    g=4/5 and hypercube d=4 over delta_eps <= 10, gamma_phi from 0 to 1e3,
-    Gamma down to 1e-9 and kappa in {1, 2, 50}, and every benchmark cell
-    kept the fill it has at 0. At 0.1 and 1.0 the hypercube d=6 factors
-    grow to 3.9 M and 7.7 M nonzeros, and the factorization takes 1.5x
-    and 10x as long. A solve whose backward error
-    ||G x - b||_1 / (||G||_1 ||x||_1 + ||b||_1) exceeds BACKWARD_ERROR_TOL
-    raises SolverError instead of returning eta.
+    The threshold is 0.01, not 0. Strong disorder (delta_eps = 10), no
+    dephasing and Gamma = 1e-9 put the diagonal of a pair {i, j} below
+    0.01 of the eps_i - eps_j that couples its two unknowns, and with pure
+    diagonal pivots the backward error reached 5e-9. At 0.01 the pivot
+    moves inside the pair, whose unknowns are adjacent in the order, and
+    the backward error stayed below 1e-14 on trees g=4/5 and hypercube
+    d=4 over delta_eps <= 10, gamma_phi from 0 to 1e3, Gamma down to 1e-9
+    and kappa in {1, 2, 50}; the hypercube d=6 factors keep the fill they
+    have at 0. At 0.1 and 1.0 they grow to 10.8 M and 10.7 M nonzeros, and
+    the factorization takes 10x as long. x is rebuilt from y, and a solve
+    whose backward error ||G x - b||_1 / (||G||_1 ||x||_1 + ||b||_1)
+    exceeds BACKWARD_ERROR_TOL raises SolverError instead of returning
+    eta.
 
     Called directly, this runs on the caller's OpenBLAS thread count, and
     the last bits of eta follow that count through the BLAS calls inside
@@ -379,17 +451,17 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
     plan = _plan(n, model.topology.edges)
     gen = build_liouvillian(model)
     b = -_vec(np.asarray(rho0, dtype=complex))
-    ordered = sp.csc_matrix((gen.data[plan.to_ordered], plan.ordered_indices,
-                             plan.ordered_indptr), shape=gen.shape)
-    ordered_b = np.empty_like(b)
-    ordered_b[plan.perm] = b
+    ordered_b = np.empty(n * n)
+    ordered_b[plan.perm] = np.where(_vec(np.tri(n, dtype=bool)), b.real, b.imag)
     try:
-        x = spla.splu(ordered, permc_spec="NATURAL", diag_pivot_thresh=0.01,
-                      options={"SymmetricMode": True}).solve(ordered_b)[plan.perm]
+        y = _factor(plan.real_system(gen), "NATURAL").solve(ordered_b)[plan.perm]
     except RuntimeError as exc:  # singular factorization
         raise SolverError(f"generator factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(y)):
         raise SolverError("generator solve produced non-finite values")
+    big_y = _unvec(y, n)
+    upper = np.triu(big_y, 1)  # Im X above the diagonal
+    x = _vec(np.tril(big_y) + np.tril(big_y, -1).T + 1j * (upper - upper.T))
     # ||G||_1 is the largest column sum; no column of G is empty, as
     # Re G[d, d] <= -2 Gamma < 0
     norm_gen = np.add.reduceat(np.abs(gen.data), gen.indptr[:-1]).max()
@@ -398,10 +470,9 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
     if backward > BACKWARD_ERROR_TOL:
         raise SolverError(f"generator solve has backward error {backward:.2e} "
                           f"> {BACKWARD_ERROR_TOL:g}")
-    big_x = _unvec(x, n)
     # + 0.0 turns a -0.0 from a trap the excitation never reaches into 0.0
-    eta = 2.0 * model.trap_rate * big_x[model.trap_site, model.trap_site].real + 0.0
-    eta_loss = 2.0 * model.recomb_rate * np.trace(big_x).real
+    eta = 2.0 * model.trap_rate * big_y[model.trap_site, model.trap_site] + 0.0
+    eta_loss = 2.0 * model.recomb_rate * np.trace(big_y)
     return EfficiencyResult(eta=eta, eta_loss=eta_loss, residual_trace=0.0,
                             method=LIOUVILLIAN_SOLVE, horizon=math.inf)
 

@@ -73,6 +73,8 @@ class SweepGrid:
                 raise ValueError(f"{name} must be finite")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         # the state and the rates every job will use, checked once here
         # rather than failing in every job; no energies are drawn
         self.initial_state()

@@ -10,13 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from enaqt import analysis, dynamics
 from enaqt.dynamics import build_liouvillian, compute_efficiency, efficiency_liouvillian
 from enaqt.graph import build_binary_tree, build_custom, build_hypercube
-from enaqt.model import (LEAF_MIXTURE, TransportModel, apply_dephasing,
-                         assemble_effective_hamiltonian,
-                         assemble_system_hamiltonian, initial_state)
+from enaqt.model import (LEAF_MIXTURE, UNIFORM_MIXTURE, TransportModel,
+                         apply_dephasing, assemble_effective_hamiltonian,
+                         assemble_system_hamiltonian, initial_state,
+                         sample_site_energies)
 
 SRC = str(Path(dynamics.__file__).resolve().parents[1])
 
@@ -127,6 +129,104 @@ def test_the_plan_holds_no_view_into_the_factor():
     t = GRAPHS["tree5"]
     plan = dynamics._plan(t.n_sites, t.edges)
     assert all(arr.base is None for arr in vars(plan).values())
+
+
+# --- the real system the direct solve factors ---
+
+def hermitian_coordinates(n):
+    """C with vec(X) = C y for Hermitian X: column i + n j is vec of the
+    Hermitian matrix whose only nonzero coordinate is Re X_ij = 1 (i >= j)
+    or Im X_ij = 1 (i < j)."""
+    columns = []
+    for j in range(n):
+        for i in range(n):
+            x = np.zeros((n, n), dtype=complex)
+            x[i, j], x[j, i] = (1.0, 1.0) if i >= j else (1j, -1j)
+            columns.append(x.flatten(order="F"))
+    return np.array(columns).T
+
+
+def natural_real_system(m):
+    """The plan's real matrix for model m, permuted back to natural order."""
+    plan = dynamics._plan(m.n_sites, m.topology.edges)
+    ordered = plan.real_system(build_liouvillian(m))
+    assert ordered.has_canonical_format
+    return ordered.toarray()[np.ix_(plan.perm, plan.perm)]
+
+
+def dense_eta(m, rho0):
+    n = m.n_sites
+    x = np.linalg.solve(reference_generator(m).toarray(), -rho0.flatten(order="F"))
+    return 2 * m.trap_rate * x[m.trap_site * (n + 1)].real
+
+
+@pytest.mark.parametrize("name", ["tree3", "dimer", "single-site", "disconnected"])
+@pytest.mark.parametrize("gamma_phi", [0.0, 0.7])
+def test_real_system_is_the_generator_in_hermitian_coordinates(name, gamma_phi):
+    # row i + n j keeps the real part of (G C y) at (i, j) for i >= j and
+    # the imaginary part for i < j
+    rng = np.random.default_rng(len(name))
+    m = random_model(GRAPHS[name], rng, dephasing_rate=gamma_phi)
+    n = m.n_sites
+    full = reference_generator(m) @ hermitian_coordinates(n)
+    lower = np.tri(n, dtype=bool).flatten(order="F")
+    want = np.where(lower[:, None], full.real, full.imag)
+    assert np.array_equal(natural_real_system(m), want)
+
+
+def test_the_order_keeps_each_pairs_unknowns_adjacent():
+    t = GRAPHS["tree5"]
+    n = t.n_sites
+    perm = dynamics._plan(n, t.edges).perm
+    i, j = np.triu_indices(n, 1)
+    assert np.all(np.abs(perm[i + n * j] - perm[j + n * i]) == 1)
+
+
+@pytest.mark.parametrize("topology", [build_binary_tree(6), build_hypercube(5)],
+                         ids=["tree6", "hypercube5"])
+def test_real_route_matches_a_complex_solve_on_larger_graphs(topology):
+    # a complex rho0 with off-diagonal imaginary parts fills the Im rows of b
+    rng = np.random.default_rng(topology.n_sites)
+    n = topology.n_sites
+    for gamma_phi in (0.0, 1.0):
+        m = random_model(topology, rng, dephasing_rate=gamma_phi)
+        rho0 = random_density_matrix(n, rng)
+        assert np.abs(rho0.imag).max() > 0.1 * np.abs(rho0).max()
+        x = spla.spsolve(reference_generator(m).tocsc(), -rho0.flatten(order="F"))
+        got = efficiency_liouvillian(rho0, m)
+        assert abs(got.eta - 2 * m.trap_rate * x[m.trap_site * (n + 1)].real) < 1e-10
+        assert abs(got.eta_loss - 2 * m.recomb_rate * x[::n + 1].real.sum()) < 1e-10
+
+
+@pytest.mark.parametrize("delta_eps", [0.0, 3.0, 10.0])
+@pytest.mark.parametrize("topology,kind", [(build_binary_tree(5), LEAF_MIXTURE),
+                                           (build_hypercube(4), UNIFORM_MIXTURE)],
+                         ids=["tree5", "hypercube4"])
+def test_pairs_pivot_inside_themselves_or_decouple(topology, kind, delta_eps):
+    # the Re and Im unknowns of pair {i, j} couple through eps_i - eps_j;
+    # with no dephasing and Gamma = 1e-9 that coupling dwarfs their
+    # diagonal under disorder, and vanishes at delta_eps = 0. Pure
+    # diagonal pivots fail the backward-error guard on some of these
+    # disordered models. On the ordered tree dark states make tr X about
+    # 1 / (2 Gamma), and the budget closes to 2e-9 (so it did on the
+    # complex system)
+    n = topology.n_sites
+    rho0 = initial_state(topology, kind)
+    i, j = np.triu_indices(n, 1)
+    re, im = j + n * i, i + n * j
+    for seed, kappa in itertools.product(range(3), (1.0, 2.0)):
+        m = TransportModel(topology=topology, trap_site=0, trap_rate=kappa,
+                           recomb_rate=1e-9,
+                           site_energies=tuple(sample_site_energies(delta_eps, seed, 0, n)))
+        real = natural_real_system(m)
+        coupling, diagonal = np.abs(real[re, im]), np.abs(real[re, re])
+        if delta_eps:
+            assert np.any(diagonal < 0.01 * coupling)
+        else:
+            assert not coupling.any()
+        res = efficiency_liouvillian(rho0, m)
+        assert abs(res.eta - dense_eta(m, rho0)) < 1e-6
+        assert abs(res.eta + res.eta_loss - 1.0) < 1e-8
 
 
 HEX_SCRIPT = """

@@ -41,6 +41,7 @@ def test_grid_validation():
     (dict(initial_kind=SINGLE_SITE), "valid site"),
     (dict(initial_kind=SINGLE_SITE, initial_site=31), "valid site"),
     (dict(topology=HYPER4), "binary tree"),   # leaf mixture off a tree
+    (dict(master_seed=-1), "master_seed"),
 ])
 def test_grid_rejects_an_invalid_problem_when_built(kw, match):
     with pytest.raises(ValueError, match=match):
