@@ -25,9 +25,14 @@ PURE_CSV_HEADER = "t,re_psi1,im_psi2,im_psi3,norm_sq"
 DELTA_MAX_CSV_HEADER = "gamma_phi,delta_max,best_disorder,stderr"
 CLUSTER_CSV_HEADER = "cluster,energy,multiplicity,trap_overlap"
 
-
-def _fmt(x) -> str:
-    return repr(float(x))
+# --graph family: the flag that sizes or names it, and the name of its
+# builder in graph, looked up at call time as bench/tracing.py wraps it there
+_GRAPHS = {graph.BINARY_TREE: ("--generations", "build_binary_tree"),
+           graph.HYPERCUBE: ("--dimension", "build_hypercube"),
+           graph.CUSTOM: ("--edge-file", "load_edge_list")}
+_INITS = {"leaves": model.LEAF_MIXTURE, "uniform": model.UNIFORM_MIXTURE,
+          "site": model.SINGLE_SITE}
+_SOLVERS = ("liouvillian", "timestepping")
 
 
 @contextlib.contextmanager
@@ -40,26 +45,24 @@ def _open_out(path):
 
 
 def _write_csv(path, header: str, rows) -> None:
-    """Header line, then one line per row: strings and ints as they are,
-    every other value through _fmt."""
     with _open_out(path) as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) if isinstance(v, (str, int)) else _fmt(v)
-                              for v in row) + "\n")
+        ensemble.write_csv(fh, header, rows)
+
+
+def _print_values(names, values) -> None:
+    for name, value in zip(names, values):
+        print(f"{name} = {ensemble.format_cell(value)}")
 
 
 def _add_problem_args(p: argparse.ArgumentParser) -> None:
     # --graph may also come from a sweep config, so _build_topology checks it
-    p.add_argument("--graph",
-                   choices=[graph.BINARY_TREE, graph.HYPERCUBE, graph.CUSTOM],
-                   help="transport graph family")
+    p.add_argument("--graph", choices=list(_GRAPHS), help="transport graph family")
     p.add_argument("--generations", type=int,
                    help="binary tree generations (g >= 1)")
     p.add_argument("--dimension", type=int, help="hypercube dimension (d >= 1)")
     p.add_argument("--edge-file",
                    help="custom graph file: first line N, then 0-based 'i j' lines")
-    p.add_argument("--init", choices=["leaves", "uniform", "site"],
+    p.add_argument("--init", choices=list(_INITS),
                    help="initial state: statistical mixture of tree leaves, "
                         "uniform mixture of all sites, or a single site "
                         "(default: leaves on trees, uniform otherwise)")
@@ -86,21 +89,13 @@ def _add_draw_args(p: argparse.ArgumentParser) -> None:
 def _build_topology(args, parser) -> graph.Topology:
     if args.graph is None:
         parser.error("--graph is required")
-    if args.graph == graph.BINARY_TREE:
-        if args.generations is None:
-            parser.error("--graph binary-tree requires --generations")
-        if args.generations < 1:
-            parser.error("--generations must be >= 1")
-        return graph.build_binary_tree(args.generations)
-    if args.graph == graph.HYPERCUBE:
-        if args.dimension is None:
-            parser.error("--graph hypercube requires --dimension")
-        if args.dimension < 1:
-            parser.error("--dimension must be >= 1")
-        return graph.build_hypercube(args.dimension)
-    if args.edge_file is None:
-        parser.error("--graph custom requires --edge-file")
-    return graph.load_edge_list(args.edge_file)
+    flag, build = _GRAPHS[args.graph]
+    value = getattr(args, flag[2:].replace("-", "_"))
+    if value is None:
+        parser.error(f"--graph {args.graph} requires {flag}")
+    if isinstance(value, int) and value < 1:
+        parser.error(f"{flag} must be >= 1")
+    return getattr(graph, build)(value)
 
 
 def _resolve_trap(args, top: graph.Topology, parser) -> int:
@@ -125,8 +120,7 @@ def _resolve_init(args, top: graph.Topology, parser) -> tuple[str, int | None]:
     name = args.init
     if name is None:
         name = "leaves" if top.kind == graph.BINARY_TREE else "uniform"
-    kind = {"leaves": model.LEAF_MIXTURE, "uniform": model.UNIFORM_MIXTURE,
-            "site": model.SINGLE_SITE}[name]
+    kind = _INITS[name]
     if kind == model.LEAF_MIXTURE and top.kind != graph.BINARY_TREE:
         parser.error("--init leaves requires --graph binary-tree")
     if kind == model.SINGLE_SITE:
@@ -152,6 +146,8 @@ def _check_rates(args, parser) -> None:
         parser.error("--realizations must be >= 1")
     if getattr(args, "workers", 1) < 1:
         parser.error("--workers must be >= 1")
+    if getattr(args, "solver", None) == "liouvillian" and args.gamma_recomb == 0:
+        parser.error("--gamma-recomb must be > 0 with --solver liouvillian")
 
 
 def _grid(args, parser, disorder_values, dephasing_values,
@@ -175,27 +171,20 @@ def _cmd_single(args, parser) -> int:
         grid.initial_state(),
         grid.model(args.disorder, args.dephasing, args.realization),
         solver=args.solver)
-    print(f"eta = {_fmt(res.eta)}")
-    print(f"eta_loss = {_fmt(res.eta_loss)}")
-    print(f"residual_trace = {_fmt(res.residual_trace)}")
-    print(f"method = {res.method}")
-    print(f"horizon = {_fmt(res.horizon)}")
+    row = (args.disorder, args.dephasing, args.kappa, args.gamma_recomb,
+           res.eta, res.eta_loss, res.residual_trace, res.method, res.horizon)
+    # the result columns, from eta on, are also printed
+    _print_values(SINGLE_CSV_HEADER.split(",")[4:], row[4:])
     if args.output:
-        _write_csv(args.output, SINGLE_CSV_HEADER, [(
-            args.disorder, args.dephasing, args.kappa, args.gamma_recomb,
-            res.eta, res.eta_loss, res.residual_trace, res.method, res.horizon)])
+        _write_csv(args.output, SINGLE_CSV_HEADER, [row])
     return 0
 
 
 def _cmd_sweep(args, parser) -> int:
     disorder_values = (ensemble.parse_grid_values(args.disorder_grid)
                        if args.disorder_grid else ensemble.default_disorder_grid())
-    if args.dephasing_grid:
-        dephasing_values = ensemble.parse_grid_values(args.dephasing_grid)
-    elif args.log_dephasing:
-        dephasing_values = ensemble.log_dephasing_grid()
-    else:
-        dephasing_values = ensemble.default_dephasing_grid()
+    dephasing_values = (ensemble.parse_grid_values(args.dephasing_grid)
+                        if args.dephasing_grid else ensemble.default_dephasing_grid())
     grid = _grid(args, parser, disorder_values, dephasing_values, args.realizations)
     table = ensemble.run_sweep(grid, n_workers=args.workers, solver=args.solver)
     with _open_out(args.output) as fh:
@@ -215,8 +204,7 @@ def _cmd_bound(args, parser) -> int:
     h = model.assemble_system_hamiltonian(grid.topology, mdl.site_energies)
     sub = analysis.invariant_subspace(h, grid.trap_site)
     bound = analysis.efficiency_upper_bound(sub, grid.initial_state())
-    print(f"dimension = {sub.dimension}")
-    print(f"bound = {_fmt(bound)}")
+    _print_values(("dimension", "bound"), (sub.dimension, bound))
     _write_csv(args.output, CLUSTER_CSV_HEADER,
                ((k, *cluster) for k, cluster in enumerate(sub.clusters)))
     return 0
@@ -313,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_draw_args(p)
     p.add_argument("--dephasing", type=float, default=0.0,
                    help="dephasing rate gamma_phi >= 0 (default 0)")
-    p.add_argument("--solver", choices=["liouvillian", "timestepping"],
-                   default="liouvillian")
+    p.add_argument("--solver", choices=_SOLVERS, default=_SOLVERS[0])
     p.add_argument("--output", help="also write a CSV row ('-' for stdout)")
 
     p = sub.add_parser("sweep", help="(disorder x dephasing) ensemble sweep")
@@ -323,12 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--disorder-grid", help="grid spec: a:b:step or comma list")
     p.add_argument("--dephasing-grid",
                    help="grid spec: a:b:step, log:a:b:count, or comma list")
-    p.add_argument("--log-dephasing", action="store_true",
-                   help="use the log-spaced dephasing grid 1e-2..1e2 (25 points)")
     p.add_argument("--realizations", type=int, default=100,
                    help="disorder realizations per cell (default 100)")
-    p.add_argument("--solver", choices=["liouvillian", "timestepping"],
-                   default="liouvillian")
+    p.add_argument("--solver", choices=_SOLVERS, default=_SOLVERS[0])
     p.add_argument("--workers", type=int, default=1,
                    help="parallel worker processes (default 1)")
     p.add_argument("--output", default="-", help="sweep CSV path (default stdout)")

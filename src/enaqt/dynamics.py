@@ -420,9 +420,9 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
     permuted real system with SuperLU in symmetric mode, in natural order,
     taking pivots from the diagonal while they are at least
     PIVOT_THRESHOLD of the largest entry in their column. On hypercube d=6
-    the factors hold 3.48 M real nonzeros, where the complex generator's
-    held 3.4 M complex ones; minimum degree on the real pattern itself
-    gave 3.53 M, and on tree g=7 1.09 M against the pair graph's 1.03 M.
+    the factors hold 3.48 M real nonzeros; minimum degree on the real
+    pattern itself gave 3.53 M, and on tree g=7 1.09 M against the pair
+    graph's 1.03 M.
 
     The threshold is 0.01, not 0. Strong disorder (delta_eps = 10), no
     dephasing and Gamma = 1e-9 put the diagonal of a pair {i, j} below
@@ -438,10 +438,10 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
     exceeds BACKWARD_ERROR_TOL raises SolverError instead of returning
     eta.
 
-    Called directly, this runs on the caller's OpenBLAS thread count, and
-    the last bits of eta follow that count through the BLAS calls inside
-    SuperLU. ``compute_efficiency`` pins one thread and is the reproducible
-    entry point.
+    Called directly, this runs SuperLU's BLAS calls on the caller's
+    OpenBLAS thread count. On 36 models (trees g=5-7, hypercubes d=4-6)
+    no bit of eta changed between 1 and 2 threads, but 2 threads kept two
+    cores busy; ``compute_efficiency`` pins one thread.
     """
     if model.recomb_rate <= 0:
         raise ValueError("direct solve requires recomb_rate > 0 "
@@ -530,11 +530,10 @@ def compute_efficiency(rho0: np.ndarray, model: TransportModel,
     """Dispatch to one of the two efficiency solvers by name.
 
     The solver runs OpenBLAS on one thread, and the caller's setting is
-    restored afterwards. Threaded BLAS inside SuperLU changes the last bits
-    of eta with the thread count; on one thread a sweep cell, the matching
-    ``enaqt single`` run and a pool worker's job give the same bits on any
-    number of cores, and pool workers, one per core, do not oversubscribe
-    the cores.
+    restored afterwards, so pool workers, one per core, do not
+    oversubscribe the cores: on 2 threads one tree g=7 solve used 2 s of
+    CPU per second of wall time. A sweep cell, the matching ``enaqt
+    single`` run and a pool worker's job all run on that one thread.
     """
     solvers = {"liouvillian": efficiency_liouvillian,
                "timestepping": efficiency_timestepping}

@@ -12,6 +12,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,19 @@ from .model import TransportModel, initial_state, sample_site_energies
 DEFAULT_MASTER_SEED = 424242
 
 SWEEP_CSV_HEADER = "delta_eps,gamma_phi,eta_mean,eta_stderr,n,eta_loss_mean"
+
+
+def format_cell(value) -> str:
+    """A CSV cell or printed value: strings and ints as they are, other
+    numbers as repr(float), which reads back to the same float."""
+    return str(value) if isinstance(value, (str, int)) else repr(float(value))
+
+
+def write_csv(fh, header: str, rows) -> None:
+    """Header line, then one line of format_cell cells per row."""
+    fh.write(header + "\n")
+    for row in rows:
+        fh.write(",".join(map(format_cell, row)) + "\n")
 
 
 def default_disorder_grid() -> tuple[float, ...]:
@@ -103,8 +117,9 @@ class SweepGrid:
         return initial_state(self.topology, self.initial_kind, self.initial_site)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One cell of a sweep, in the column order of its CSV line."""
+
     delta_eps: float
     gamma_phi: float
     eta_mean: float
@@ -136,10 +151,7 @@ class SweepTable:
         raise KeyError(f"no cell at ({delta_eps}, {gamma_phi})")
 
     def to_csv(self, fh) -> None:
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        for r in self.rows:
-            fh.write(f"{r.delta_eps!r},{r.gamma_phi!r},{r.eta_mean!r},"
-                     f"{r.eta_stderr!r},{r.n},{r.eta_loss_mean!r}\n")
+        write_csv(fh, SWEEP_CSV_HEADER, self.rows)
 
     @classmethod
     def from_csv(cls, fh) -> "SweepTable":
@@ -249,8 +261,8 @@ def parse_grid_values(text: str) -> tuple[float, ...]:
         start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
         if start <= 0 or stop <= start or count < 2:
             raise ValueError(f"bad log grid spec {text!r}")
-        return log_dephasing_grid(start, stop, count)
-    if ":" in text:
+        values = log_dephasing_grid(start, stop, count)
+    elif ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"bad grid spec {text!r} (want start:stop:step)")
@@ -260,8 +272,12 @@ def parse_grid_values(text: str) -> tuple[float, ...]:
         count = int(round((stop - start) / step)) + 1
         if abs(start + (count - 1) * step - stop) > 1e-9:
             raise ValueError(f"grid spec {text!r}: step does not divide the range")
-        return tuple(np.round(np.linspace(start, stop, count), 12))
-    return tuple(float(v) for v in text.split(","))
+        values = tuple(np.round(np.linspace(start, stop, count), 12))
+    else:
+        return tuple(float(v) for v in text.split(","))
+    if start > 0 and values[0] == 0.0:
+        raise ValueError(f"grid spec {text!r}: start {start!r} rounds to 0")
+    return values
 
 
 def load_sweep_config(path) -> dict[str, str]:

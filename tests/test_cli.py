@@ -86,6 +86,22 @@ def test_single_solver_choice_and_csv(tmp_path, capsys):
      "--trace-tol", "1e-6"],                                   # tolerances are fixed
     ["sweep", *TREE_ARGS, "--disorder-grid", "0", "--dephasing-grid", "0",
      "--realizations", "0"],
+    ["single", *TREE_ARGS, "--gamma-recomb", "0"],             # direct solve needs Gamma > 0
+    ["sweep", *TREE_ARGS, "--disorder-grid", "0", "--dephasing-grid", "0",
+     "--gamma-recomb", "0"],
+    ["single", "--graph", "binary-tree", "--generations", "0"],
+    ["single", "--graph", "hypercube", "--dimension", "0"],
+    ["single", "--graph", "hypercube"],                        # no --dimension
+    ["single", *TREE_ARGS[:-1], "x"],                          # --trap x
+    ["single", "--graph", "binary-tree", "--generations", "3", "--init", "site"],
+    ["single", "--graph", "binary-tree", "--generations", "3", "--init", "site",
+     "--init-site", "99"],
+    ["single", *TREE_ARGS, "--seed", "-1"],
+    ["trajectory", *TREE_ARGS, "--points", "1"],
+    ["trajectory", "--graph", "binary-tree", "--generations", "3", "--init", "site",
+     "--init-site", "6", "--pure", "--dephasing", "0.5"],
+    ["trajectory", "--graph", "binary-tree", "--generations", "3", "--init", "site",
+     "--init-site", "6", "--pure", "--realizations", "2"],
 ])
 def test_flag_validation_fails_before_computation(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -198,7 +214,7 @@ def test_sweep_single_cell_matches_single(tmp_path, capsys):
 
 
 def test_sweep_cell_matches_single_on_the_disordered_hypercube(tmp_path, capsys):
-    # this LU reaches threaded BLAS; both commands must run it alike
+    # this LU reaches threaded BLAS; both commands pin it to one thread
     args = ["--graph", "hypercube", "--dimension", "4", "--trap", "0"]
     out_csv = tmp_path / "sweep.csv"
     code, _, _ = run_cli(capsys, "sweep", *args, "--disorder-grid", "1.4",
@@ -259,7 +275,9 @@ def test_sweep_config_values_equal_the_same_flags(tmp_path, capsys):
 
 @pytest.mark.parametrize("line,message", [
     ("solver = magic", "invalid choice"), ("init = foo", "invalid choice"),
-    ("workers = 0", "--workers must be >= 1")], ids=["solver", "init", "workers"])
+    ("workers = 0", "--workers must be >= 1"),
+    ("gamma_recomb = 0", "--gamma-recomb must be > 0")],
+    ids=["solver", "init", "workers", "gamma_recomb"])
 def test_bad_config_value_exits_2_before_any_job(line, message, tmp_path,
                                                  monkeypatch, capsys):
     cfg = tmp_path / "bad.cfg"
@@ -272,6 +290,41 @@ def test_bad_config_value_exits_2_before_any_job(line, message, tmp_path,
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out_csv.exists()
+
+
+def test_sweep_reports_failed_jobs_and_still_writes_the_csv(tmp_path,
+                                                           monkeypatch, capsys):
+    solve = dynamics.efficiency_liouvillian
+
+    def fail_at_03(rho0, model):
+        if model.dephasing_rate == 0.3:
+            raise dynamics.SolverError("forced failure")
+        return solve(rho0, model)
+
+    monkeypatch.setattr(dynamics, "efficiency_liouvillian", fail_at_03)
+    out_csv = tmp_path / "sweep.csv"
+    code, _, err = run_cli(capsys, "sweep", "--graph", "binary-tree",
+                           "--generations", "3", "--disorder-grid", "0,0.5",
+                           "--dephasing-grid", "0,0.3", "--realizations", "2",
+                           "--output", str(out_csv))
+    assert code == 1
+    lines = err.splitlines()
+    assert lines[0] == "3 job(s) failed:"
+    assert lines[1:] == [
+        "  SolverError: forced failure [delta_eps=0.0 gamma_phi=0.3 realization=0]",
+        *(f"  SolverError: forced failure [delta_eps=0.5 gamma_phi=0.3 "
+          f"realization={r}]" for r in range(2))]
+    _, rows = read_csv(out_csv)
+    assert [(r[0], r[1], r[4]) for r in rows] == [("0.0", "0.0", "1"),
+                                                  ("0.5", "0.0", "2")]
+
+
+def test_runtime_error_exits_1_with_an_error_line(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "single", "--graph", "custom", "--edge-file",
+                             str(tmp_path / "missing.txt"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "missing.txt" in err
 
 
 def readme_commands():

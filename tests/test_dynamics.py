@@ -334,6 +334,24 @@ def test_timestepping_without_recombination_reports_horizon():
     assert res.horizon == 5.0
 
 
+@pytest.mark.parametrize("gamma_phi", [0.0, 0.3])
+def test_timestepping_without_recombination_stops_on_the_trace(gamma_phi):
+    # Gamma = 0 selects the fallback horizon; trapping empties the dimer
+    # long before it, and the direct solve at Gamma -> 0 gives the same eta
+    def model(recomb_rate):
+        return TransportModel(topology=DIMER, site_energies=(0.0, 0.5),
+                              trap_site=0, trap_rate=1.0,
+                              recomb_rate=recomb_rate, dephasing_rate=gamma_phi)
+
+    rho0 = initial_state(DIMER, SINGLE_SITE, site=1)
+    res = efficiency_timestepping(rho0, model(0.0))
+    assert res.eta_loss == 0.0
+    assert abs(res.eta + res.eta_loss + res.residual_trace - 1.0) < 1e-12
+    assert res.residual_trace == pytest.approx(TRACE_TOL)  # the trace event
+    assert res.horizon < dynamics.FALLBACK_HORIZON / 100
+    assert abs(res.eta - efficiency_liouvillian(rho0, model(1e-9)).eta) < 1e-6
+
+
 def test_global_energy_shift_leaves_efficiency_unchanged():
     rng = np.random.default_rng(21)
     eps = rng.normal(size=4)
@@ -454,8 +472,8 @@ def test_compute_efficiency_runs_blas_on_one_thread_and_restores_the_caller():
     if not caller:
         pytest.skip("no OpenBLAS library found in this process")
     hyper5 = build_hypercube(5)
-    # LU fill on the disordered hypercube reaches threaded BLAS in SuperLU:
-    # unpinned, 2 threads change this eta's last bits
+    # LU fill on the disordered hypercube reaches threaded BLAS in SuperLU;
+    # pinned, the caller's thread count must not change eta
     energies = np.random.default_rng(1).normal(0.0, 1.4, 32)
     m = TransportModel(topology=hyper5, site_energies=tuple(energies),
                        trap_site=0, trap_rate=1.0, recomb_rate=0.01,

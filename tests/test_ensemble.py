@@ -253,10 +253,16 @@ def test_parse_grid_values_forms():
     assert np.allclose(lg, (0.01, 0.1, 1.0, 10.0, 100.0))
 
 
-@pytest.mark.parametrize("spec", ["0:1:0.3", "1:0:0.1", "log:0:1:5", "a,b"])
+@pytest.mark.parametrize("spec", ["0:1:0.3", "1:0:0.1", "log:0:1:5", "a,b",
+                                  "log:1e-14:1:3", "1e-13:1e-13:1"])
 def test_parse_grid_values_rejects_bad_specs(spec):
     with pytest.raises(ValueError):
         parse_grid_values(spec)
+
+
+def test_parse_grid_values_names_a_start_that_rounds_to_zero():
+    with pytest.raises(ValueError, match="'log:1e-14:1:3'"):
+        parse_grid_values("log:1e-14:1:3")
 
 
 def test_load_sweep_config(tmp_path):
