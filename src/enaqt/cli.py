@@ -30,8 +30,6 @@ CLUSTER_CSV_HEADER = "cluster,energy,multiplicity,trap_overlap"
 _GRAPHS = {graph.BINARY_TREE: ("--generations", "build_binary_tree"),
            graph.HYPERCUBE: ("--dimension", "build_hypercube"),
            graph.CUSTOM: ("--edge-file", "load_edge_list")}
-_INITS = {"leaves": model.LEAF_MIXTURE, "uniform": model.UNIFORM_MIXTURE,
-          "site": model.SINGLE_SITE}
 _SOLVERS = ("liouvillian", "timestepping")
 
 
@@ -54,115 +52,101 @@ def _print_values(names, values) -> None:
         print(f"{name} = {ensemble.format_cell(value)}")
 
 
+def _at_least(low, kind=float):
+    """An argparse type: a finite number of the given kind (float or int) >= low."""
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be {'finite and ' * (kind is float)}>= {low}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: 'x'"
+    return parse
+
+
+def _trap(text: str) -> str | int:
+    """--trap: 'root', or a 0-based site index that the problem checks."""
+    try:
+        return text if text == "root" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be 'root' or a site index, got {text!r}") from None
+
+
+def _grid_spec(text: str) -> tuple[float, ...]:
+    try:
+        return ensemble.parse_grid_values(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_problem_args(p: argparse.ArgumentParser) -> None:
-    # --graph may also come from a sweep config, so _build_topology checks it
+    # --graph may also come from a sweep config, so _grid checks it
     p.add_argument("--graph", choices=list(_GRAPHS), help="transport graph family")
-    p.add_argument("--generations", type=int,
+    p.add_argument("--generations", type=_at_least(1, int),
                    help="binary tree generations (g >= 1)")
-    p.add_argument("--dimension", type=int, help="hypercube dimension (d >= 1)")
+    p.add_argument("--dimension", type=_at_least(1, int),
+                   help="hypercube dimension (d >= 1)")
     p.add_argument("--edge-file",
                    help="custom graph file: first line N, then 0-based 'i j' lines")
-    p.add_argument("--init", choices=list(_INITS),
+    p.add_argument("--init", choices=(model.LEAF_MIXTURE, model.UNIFORM_MIXTURE,
+                                      model.SINGLE_SITE),
                    help="initial state: statistical mixture of tree leaves, "
                         "uniform mixture of all sites, or a single site "
                         "(default: leaves on trees, uniform otherwise)")
-    p.add_argument("--init-site", type=int,
+    p.add_argument("--init-site", type=_at_least(0, int),
                    help="0-based site index for --init site")
-    p.add_argument("--trap",
+    p.add_argument("--trap", type=_trap,
                    help="trap placement: 'root' (trees) or a 0-based site index "
                         "(default: root on trees, 0 otherwise)")
-    p.add_argument("--kappa", type=float, default=1.0,
+    p.add_argument("--kappa", type=_at_least(0), default=1.0,
                    help="trapping rate kappa >= 0 (units of V, default 1)")
-    p.add_argument("--gamma-recomb", type=float, default=0.01,
+    p.add_argument("--gamma-recomb", type=_at_least(0), default=0.01,
                    help="uniform recombination rate Gamma >= 0 (default 0.01)")
-    p.add_argument("--seed", type=int, default=ensemble.DEFAULT_MASTER_SEED,
+    p.add_argument("--seed", type=_at_least(0, int),
+                   default=ensemble.DEFAULT_MASTER_SEED,
                    help=f"master seed (default {ensemble.DEFAULT_MASTER_SEED})")
 
 
-def _add_draw_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--disorder", type=float, default=0.0,
+def _add_draw_args(p: argparse.ArgumentParser, dephasing: bool = True) -> None:
+    p.add_argument("--disorder", type=_at_least(0), default=0.0,
                    help="site-energy disorder standard deviation (default 0)")
-    p.add_argument("--realization", type=int, default=0,
+    p.add_argument("--realization", type=_at_least(0, int), default=0,
                    help="disorder realization index (default 0)")
+    if dephasing:  # bound is a zero-dephasing statement
+        p.add_argument("--dephasing", type=_at_least(0), default=0.0,
+                       help="dephasing rate gamma_phi >= 0 (default 0)")
 
 
-def _build_topology(args, parser) -> graph.Topology:
+def _grid(args, parser, disorder_values, dephasing_values,
+          n_realizations: int = 1) -> ensemble.SweepGrid:
+    """The flags' problem on the given grids; what SweepGrid rejects is a flag error."""
     if args.graph is None:
         parser.error("--graph is required")
     flag, build = _GRAPHS[args.graph]
     value = getattr(args, flag[2:].replace("-", "_"))
     if value is None:
         parser.error(f"--graph {args.graph} requires {flag}")
-    if isinstance(value, int) and value < 1:
-        parser.error(f"{flag} must be >= 1")
-    return getattr(graph, build)(value)
-
-
-def _resolve_trap(args, top: graph.Topology, parser) -> int:
-    # the root of a tree is site 0 (heap label 1), as is the default trap
-    if args.trap is None:
-        return 0
-    if args.trap == "root":
-        if top.kind != graph.BINARY_TREE:
-            parser.error("--trap root is only defined for binary trees; "
-                         "give a 0-based site index")
-        return 0
-    try:
-        trap = int(args.trap)
-    except ValueError:
-        parser.error(f"--trap must be 'root' or an integer, got {args.trap!r}")
-    if not 0 <= trap < top.n_sites:
-        parser.error(f"--trap {trap} out of range for {top.n_sites} sites")
-    return trap
-
-
-def _resolve_init(args, top: graph.Topology, parser) -> tuple[str, int | None]:
-    name = args.init
-    if name is None:
-        name = "leaves" if top.kind == graph.BINARY_TREE else "uniform"
-    kind = _INITS[name]
-    if kind == model.LEAF_MIXTURE and top.kind != graph.BINARY_TREE:
-        parser.error("--init leaves requires --graph binary-tree")
-    if kind == model.SINGLE_SITE:
-        if args.init_site is None:
-            parser.error("--init site requires --init-site")
-        if not 0 <= args.init_site < top.n_sites:
-            parser.error(f"--init-site {args.init_site} out of range")
-    return kind, args.init_site
-
-
-def _check_rates(args, parser) -> None:
-    for name in ("kappa", "gamma_recomb", "dephasing", "disorder"):
-        value = getattr(args, name, 0.0)
-        if value < 0:
-            parser.error(f"--{name.replace('_', '-')} must be >= 0")
-        if not math.isfinite(value):
-            parser.error(f"--{name.replace('_', '-')} must be finite")
-    if args.seed < 0:
-        parser.error("--seed must be >= 0")
-    if getattr(args, "realization", 0) < 0:
-        parser.error("--realization must be >= 0")
-    if getattr(args, "realizations", 1) < 1:
-        parser.error("--realizations must be >= 1")
-    if getattr(args, "workers", 1) < 1:
-        parser.error("--workers must be >= 1")
+    top = getattr(graph, build)(value)
+    tree = top.kind == graph.BINARY_TREE
+    if args.trap == "root" and not tree:
+        parser.error("--trap root needs --graph binary-tree; give a site index")
     if getattr(args, "solver", None) == "liouvillian" and args.gamma_recomb == 0:
         parser.error("--gamma-recomb must be > 0 with --solver liouvillian")
-
-
-def _grid(args, parser, disorder_values, dephasing_values,
-          n_realizations: int = 1) -> ensemble.SweepGrid:
-    """The problem the flags describe, over the given (disorder x dephasing) grid."""
-    top = _build_topology(args, parser)
-    trap = _resolve_trap(args, top, parser)
-    _check_rates(args, parser)
-    kind, site = _resolve_init(args, top, parser)
-    return ensemble.SweepGrid(
-        topology=top, disorder_values=disorder_values,
-        dephasing_values=dephasing_values, n_realizations=n_realizations,
-        initial_kind=kind, initial_site=site, trap_site=trap,
-        trap_rate=args.kappa, recomb_rate=args.gamma_recomb,
-        master_seed=args.seed)
+    # the root of a tree is site 0 (heap label 1), as is the default trap
+    try:
+        return ensemble.SweepGrid(
+            topology=top, disorder_values=disorder_values,
+            dephasing_values=dephasing_values, n_realizations=n_realizations,
+            initial_kind=args.init or (model.LEAF_MIXTURE if tree
+                                       else model.UNIFORM_MIXTURE),
+            initial_site=args.init_site,
+            trap_site=0 if args.trap in (None, "root") else args.trap,
+            trap_rate=args.kappa, recomb_rate=args.gamma_recomb,
+            master_seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _cmd_single(args, parser) -> int:
@@ -181,11 +165,7 @@ def _cmd_single(args, parser) -> int:
 
 
 def _cmd_sweep(args, parser) -> int:
-    disorder_values = (ensemble.parse_grid_values(args.disorder_grid)
-                       if args.disorder_grid else ensemble.default_disorder_grid())
-    dephasing_values = (ensemble.parse_grid_values(args.dephasing_grid)
-                        if args.dephasing_grid else ensemble.default_dephasing_grid())
-    grid = _grid(args, parser, disorder_values, dephasing_values, args.realizations)
+    grid = _grid(args, parser, args.disorder_grid, args.dephasing_grid, args.realizations)
     table = ensemble.run_sweep(grid, n_workers=args.workers, solver=args.solver)
     with _open_out(args.output) as fh:
         table.to_csv(fh)
@@ -241,8 +221,6 @@ def _cmd_trajectory(args, parser) -> int:
     grid = _grid(args, parser, (args.disorder,), (args.dephasing,))
     if not 0 < args.t_final < math.inf:
         parser.error("--t-final must be finite and > 0")
-    if args.points < 2:
-        parser.error("--points must be >= 2")
     if args.full_state and args.realizations != 1:
         parser.error("--full-state requires --realizations 1")
     times = np.linspace(0.0, args.t_final, args.points)
@@ -263,7 +241,8 @@ def _cmd_trajectory(args, parser) -> int:
         header, columns = PURE_CSV_HEADER, _trap_columns(traj, trap, nbrs)
     else:
         rho0 = grid.initial_state()
-        n_real = args.realizations
+        # at zero disorder every draw is the same model, as in a sweep cell
+        n_real = args.realizations if args.disorder else 1
         columns = 0.0
         for r in range(n_real):
             # ensemble averages run draws 0..n-1; a single run honors --realization
@@ -297,46 +276,49 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("single", help="one efficiency evaluation")
+    p.set_defaults(run=_cmd_single, parser=p)
     _add_problem_args(p)
     _add_draw_args(p)
-    p.add_argument("--dephasing", type=float, default=0.0,
-                   help="dephasing rate gamma_phi >= 0 (default 0)")
     p.add_argument("--solver", choices=_SOLVERS, default=_SOLVERS[0])
     p.add_argument("--output", help="also write a CSV row ('-' for stdout)")
 
     p = sub.add_parser("sweep", help="(disorder x dephasing) ensemble sweep")
+    p.set_defaults(run=_cmd_sweep, parser=p)
     p.add_argument("--config", help="key = value file; flags override it")
     _add_problem_args(p)
-    p.add_argument("--disorder-grid", help="grid spec: a:b:step or comma list")
-    p.add_argument("--dephasing-grid",
+    p.add_argument("--disorder-grid", type=_grid_spec,
+                   default=ensemble.default_disorder_grid(),
+                   help="grid spec: a:b:step or comma list")
+    p.add_argument("--dephasing-grid", type=_grid_spec,
+                   default=ensemble.default_dephasing_grid(),
                    help="grid spec: a:b:step, log:a:b:count, or comma list")
-    p.add_argument("--realizations", type=int, default=100,
+    p.add_argument("--realizations", type=_at_least(1, int), default=100,
                    help="disorder realizations per cell (default 100)")
     p.add_argument("--solver", choices=_SOLVERS, default=_SOLVERS[0])
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_at_least(1, int), default=1,
                    help="parallel worker processes (default 1)")
     p.add_argument("--output", default="-", help="sweep CSV path (default stdout)")
 
     p = sub.add_parser("bound", help="invariant-subspace efficiency bound "
                                      "(zero dephasing)")
+    p.set_defaults(run=_cmd_bound, parser=p)
     _add_problem_args(p)
-    _add_draw_args(p)
+    _add_draw_args(p, dephasing=False)
     p.add_argument("--output", default="-",
                    help="cluster-structure CSV (default stdout)")
 
     p = sub.add_parser("trajectory", help="time series of trap observables")
+    p.set_defaults(run=_cmd_trajectory, parser=p)
     _add_problem_args(p)
     _add_draw_args(p)
-    p.add_argument("--dephasing", type=float, default=0.0,
-                   help="dephasing rate gamma_phi >= 0 (default 0)")
     p.add_argument("--t-final", type=float, default=50.0,
                    help="time window in 1/V units (default 50)")
-    p.add_argument("--points", type=int, default=2000,
+    p.add_argument("--points", type=_at_least(2, int), default=2000,
                    help="uniform output points (default 2000)")
     p.add_argument("--pure", action="store_true",
                    help="propagate amplitudes of a pure state instead of the "
                         "density matrix (needs --init site and --dephasing 0)")
-    p.add_argument("--realizations", type=int, default=1,
+    p.add_argument("--realizations", type=_at_least(1, int), default=1,
                    help="average observables over this many disorder draws")
     p.add_argument("--output", default="-", help="trajectory CSV (default stdout)")
     p.add_argument("--full-state",
@@ -345,19 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta-max",
                        help="disorder gain per dephasing rate from a sweep CSV")
+    p.set_defaults(run=_cmd_delta_max, parser=p)
     p.add_argument("--input", required=True, help="sweep CSV produced by 'sweep'")
     p.add_argument("--output", default="-", help="output CSV (default stdout)")
 
     return parser
 
-
-_COMMANDS = {
-    "single": _cmd_single,
-    "sweep": _cmd_sweep,
-    "bound": _cmd_bound,
-    "trajectory": _cmd_trajectory,
-    "delta-max": _cmd_delta_max,
-}
 
 # sweep config keys whose flag is not "--" + the key with "-" for "_"
 _CONFIG_FLAGS = {"disorder_values": "--disorder-grid",
@@ -380,7 +355,7 @@ def main(argv=None) -> int:
             # config lines go before the user's flags, so a flag wins
             args = parser.parse_args(
                 [args.command, *_config_flags(args.config), *argv[1:]])
-        return _COMMANDS[args.command](args, parser)
+        return args.run(args, args.parser)
     except (ValueError, KeyError, OSError, dynamics.SolverError,
             dynamics.IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

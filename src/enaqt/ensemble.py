@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import compute_efficiency, EfficiencyResult
 from .graph import Topology
-from .model import TransportModel, initial_state, sample_site_energies
+from .model import UNIFORM_MIXTURE, TransportModel, initial_state, sample_site_energies
 
 DEFAULT_MASTER_SEED = 424242
 
@@ -51,8 +51,7 @@ def default_dephasing_grid() -> tuple[float, ...]:
 def log_dephasing_grid(start: float = 1e-2, stop: float = 1e2,
                        count: int = 25) -> tuple[float, ...]:
     """Log-spaced dephasing grid, 1e-2..1e2 by default."""
-    return tuple(np.round(np.logspace(math.log10(start), math.log10(stop),
-                                      count), 12))
+    return parse_grid_values(f"log:{start!r}:{stop!r}:{count}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ class SweepGrid:
     disorder_values: tuple[float, ...]
     dephasing_values: tuple[float, ...]
     n_realizations: int = 100
-    initial_kind: str = "uniform-mixture"
+    initial_kind: str = UNIFORM_MIXTURE
     initial_site: int | None = None
     trap_site: int = 0
     trap_rate: float = 1.0
@@ -71,24 +70,21 @@ class SweepGrid:
     master_seed: int = DEFAULT_MASTER_SEED
 
     def __post_init__(self):
-        object.__setattr__(self, "disorder_values",
-                           tuple(float(v) for v in self.disorder_values))
-        object.__setattr__(self, "dephasing_values",
-                           tuple(float(v) for v in self.dephasing_values))
         for name in ("disorder_values", "dephasing_values"):
-            vals = getattr(self, name)
+            vals = tuple(float(v) for v in getattr(self, name))
+            object.__setattr__(self, name, vals)
             if not vals:
                 raise ValueError(f"{name} must be nonempty")
             if any(b <= a for a, b in zip(vals, vals[1:])):
-                raise ValueError(f"{name} must be strictly increasing")
+                raise ValueError(f"{name} {vals} must be strictly increasing")
             if vals[0] < 0:
-                raise ValueError(f"{name} must be nonnegative")
+                raise ValueError(f"{name} {vals} must be nonnegative")
             if not all(map(math.isfinite, vals)):
-                raise ValueError(f"{name} must be finite")
+                raise ValueError(f"{name} {vals} must be finite")
         if self.n_realizations < 1:
-            raise ValueError("n_realizations must be >= 1")
+            raise ValueError(f"n_realizations must be >= 1, got {self.n_realizations}")
         if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         # the state and the rates every job will use, checked once here
         # rather than failing in every job; no energies are drawn
         self.initial_state()
@@ -261,7 +257,7 @@ def parse_grid_values(text: str) -> tuple[float, ...]:
         start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
         if start <= 0 or stop <= start or count < 2:
             raise ValueError(f"bad log grid spec {text!r}")
-        values = log_dephasing_grid(start, stop, count)
+        raw = np.logspace(math.log10(start), math.log10(stop), count)
     elif ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -272,12 +268,14 @@ def parse_grid_values(text: str) -> tuple[float, ...]:
         count = int(round((stop - start) / step)) + 1
         if abs(start + (count - 1) * step - stop) > 1e-9:
             raise ValueError(f"grid spec {text!r}: step does not divide the range")
-        values = tuple(np.round(np.linspace(start, stop, count), 12))
+        raw = np.linspace(start, stop, count)
     else:
         return tuple(float(v) for v in text.split(","))
-    if start > 0 and values[0] == 0.0:
-        raise ValueError(f"grid spec {text!r}: start {start!r} rounds to 0")
-    return values
+    values = np.round(raw, 12)
+    if np.any(np.abs(values - raw) > 1e-6 * np.abs(raw)):
+        raise ValueError(f"grid spec {text!r}: rounding to 12 decimals moves "
+                         "a value by more than 1e-6 of itself")
+    return tuple(values)
 
 
 def load_sweep_config(path) -> dict[str, str]:

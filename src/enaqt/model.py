@@ -15,9 +15,9 @@ import numpy as np
 
 from .graph import BINARY_TREE, Topology, adjacency_matrix, leaves
 
-LEAF_MIXTURE = "leaf-mixture"
-UNIFORM_MIXTURE = "uniform-mixture"
-SINGLE_SITE = "single-site"
+LEAF_MIXTURE = "leaves"
+UNIFORM_MIXTURE = "uniform"
+SINGLE_SITE = "site"
 
 
 def sample_site_energies(std_dev: float, master_seed: int,
@@ -60,7 +60,8 @@ class TransportModel:
         if len(self.site_energies) != self.topology.n_sites:
             raise ValueError("site_energies length must equal n_sites")
         if not 0 <= self.trap_site < self.topology.n_sites:
-            raise ValueError(f"trap site {self.trap_site} out of range")
+            raise ValueError(f"trap site {self.trap_site} out of range "
+                             f"for {self.n_sites} sites")
         for name in ("trap_rate", "recomb_rate", "dephasing_rate"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
@@ -125,15 +126,15 @@ def apply_dephasing(rho: np.ndarray, rate: float) -> np.ndarray:
 def initial_state(topology: Topology, kind: str, site: int | None = None) -> np.ndarray:
     """Initial density matrix of the excitation.
 
-    leaf-mixture: equal statistical mixture of the tree leaves.
-    uniform-mixture: Identity/N over all sites.
-    single-site: pure projector onto ``site``.
+    leaves: equal statistical mixture of the tree leaves.
+    uniform: Identity/N over all sites.
+    site: pure projector onto ``site``.
     """
     n = topology.n_sites
     rho = np.zeros((n, n), dtype=complex)
     if kind == LEAF_MIXTURE:
         if topology.kind != BINARY_TREE:
-            raise ValueError("leaf-mixture requires a binary tree")
+            raise ValueError(f"initial_kind {kind!r} requires a binary tree")
         ls = leaves(topology)
         for s in ls:
             rho[s, s] = 1.0 / len(ls)
@@ -141,7 +142,8 @@ def initial_state(topology: Topology, kind: str, site: int | None = None) -> np.
         rho[np.diag_indices(n)] = 1.0 / n
     elif kind == SINGLE_SITE:
         if site is None or not 0 <= site < n:
-            raise ValueError(f"single-site initial state needs a valid site, got {site}")
+            raise ValueError(f"initial_kind {kind!r} needs a valid site, got "
+                             f"initial_site={site} for {n} sites")
         rho[site, site] = 1.0
     else:
         raise ValueError(f"unknown initial-state kind {kind!r}")

@@ -102,11 +102,28 @@ def test_single_solver_choice_and_csv(tmp_path, capsys):
      "--init-site", "6", "--pure", "--dephasing", "0.5"],
     ["trajectory", "--graph", "binary-tree", "--generations", "3", "--init", "site",
      "--init-site", "6", "--pure", "--realizations", "2"],
+    ["sweep", *TREE_ARGS, "--disorder-grid", "1,0"],           # not increasing
+    ["sweep", *TREE_ARGS, "--disorder-grid", "0:1:0.3"],       # step does not divide
 ])
 def test_flag_validation_fails_before_computation(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["single", *TREE_ARGS, "--kappa", "-1"],
+     "argument --kappa: must be finite and >= 0"),
+    (["sweep", *TREE_ARGS, "--gamma-recomb", "0"],
+     "--gamma-recomb must be > 0 with --solver liouvillian"),
+], ids=["type", "cross-flag"])
+def test_flag_error_prints_its_subcommand_usage(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: enaqt {argv[0]} ")
+    assert f"enaqt {argv[0]}: error: {message}" in err
 
 
 @pytest.mark.parametrize("t_final", ["nan", "inf"])
@@ -275,9 +292,11 @@ def test_sweep_config_values_equal_the_same_flags(tmp_path, capsys):
 
 @pytest.mark.parametrize("line,message", [
     ("solver = magic", "invalid choice"), ("init = foo", "invalid choice"),
-    ("workers = 0", "--workers must be >= 1"),
-    ("gamma_recomb = 0", "--gamma-recomb must be > 0")],
-    ids=["solver", "init", "workers", "gamma_recomb"])
+    ("workers = 0", "argument --workers: must be >= 1"),
+    ("gamma_recomb = 0", "--gamma-recomb must be > 0"),
+    ("disorder_values = 1,0", "must be strictly increasing"),
+    ("dephasing_values = log:1e-12:1e-11:5", "'log:1e-12:1e-11:5'")],
+    ids=["solver", "init", "workers", "gamma_recomb", "grid", "grid_spec"])
 def test_bad_config_value_exits_2_before_any_job(line, message, tmp_path,
                                                  monkeypatch, capsys):
     cfg = tmp_path / "bad.cfg"
@@ -431,6 +450,17 @@ def test_trajectory_ensemble_average_runs(tmp_path, capsys):
     # the mean of draws 0, 1, 2, summed from 0 in that order
     assert np.array_equal(avg[:, 1:],
                           (0.0 + draws[0] + draws[1] + draws[2])[:, 1:] / 3)
+
+
+def test_trajectory_runs_one_draw_at_zero_disorder(tmp_path, capsys):
+    args = ["trajectory", "--graph", "binary-tree", "--generations", "3",
+            "--init", "site", "--init-site", "6", "--dephasing", "0.2",
+            "--t-final", "2", "--points", "5"]
+    csv = {n: tmp_path / f"{n}.csv" for n in ("1", "3")}
+    for n, path in csv.items():
+        assert run_cli(capsys, *args, "--realizations", n,
+                       "--output", str(path))[0] == 0
+    assert csv["3"].read_bytes() == csv["1"].read_bytes()
 
 
 def test_trajectory_full_state_dump(tmp_path, capsys):

@@ -254,7 +254,8 @@ def test_parse_grid_values_forms():
 
 
 @pytest.mark.parametrize("spec", ["0:1:0.3", "1:0:0.1", "log:0:1:5", "a,b",
-                                  "log:1e-14:1:3", "1e-13:1e-13:1"])
+                                  "log:1e-14:1:3", "1e-13:1e-13:1",
+                                  "log:1e-8:1e-6:5", "log:1e-12:1e-11:5"])
 def test_parse_grid_values_rejects_bad_specs(spec):
     with pytest.raises(ValueError):
         parse_grid_values(spec)
