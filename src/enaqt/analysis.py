@@ -28,7 +28,6 @@ class InvariantSubspace:
     """
 
     basis: np.ndarray
-    trap_site: int
     clusters: tuple[tuple[float, int, float], ...]
 
     @property
@@ -63,8 +62,7 @@ def invariant_subspace(h_system: np.ndarray, trap_site: int) -> InvariantSubspac
             columns.append(block)
         else:
             columns.append(block @ null_space(block[trap_site][None, :]))
-    return InvariantSubspace(basis=np.hstack(columns), trap_site=trap_site,
-                             clusters=tuple(clusters))
+    return InvariantSubspace(basis=np.hstack(columns), clusters=tuple(clusters))
 
 
 def efficiency_upper_bound(subspace: InvariantSubspace, rho0: np.ndarray) -> float:

@@ -352,9 +352,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
+            try:
+                flags = _config_flags(args.config)
+            except ValueError as exc:  # a malformed line or an unknown key
+                args.parser.error(str(exc))
             # config lines go before the user's flags, so a flag wins
-            args = parser.parse_args(
-                [args.command, *_config_flags(args.config), *argv[1:]])
+            args = parser.parse_args([args.command, *flags, *argv[1:]])
         return args.run(args, args.parser)
     except (ValueError, KeyError, OSError, dynamics.SolverError,
             dynamics.IntegrationError) as exc:

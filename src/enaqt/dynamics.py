@@ -213,6 +213,63 @@ def propagate_pure(psi0: np.ndarray, model: TransportModel, t_final: float,
     return Trajectory(times=sol.t.copy(), states=sol.y.T.copy())
 
 
+# C entry points of OpenBLAS builds: plain, 64-bit-integer, and the
+# prefixed scipy-openblas builds that numpy and scipy wheels bundle.
+_OPENBLAS_THREAD_SETTERS = (
+    "openblas_set_num_threads", "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple, ...]:
+    """(set, get) thread-count functions of each OpenBLAS in this process.
+
+    Libraries are found in /proc/self/maps, so there are none where that
+    file does not exist.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(paths):
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_THREAD_SETTERS:
+            getter = name.replace("_set_", "_get_")
+            if hasattr(lib, name) and hasattr(lib, getter):
+                controls.append((getattr(lib, name), getattr(lib, getter)))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _blas_on_one_thread():
+    """Run the body with OpenBLAS on one thread; restore the counts after.
+
+    Both efficiency solvers run under it, so pool workers, one per core,
+    do not oversubscribe the cores: on 2 threads one tree g=7 solve used
+    2 s of CPU per second of wall time. It also fixes the bits of eta:
+    on 36 models (trees g=5-7, hypercubes d=4-6) the direct solve gave
+    the same bits on 1 and 2 threads, but time stepping on tree g=5
+    moved eta by up to 1e-10.
+    """
+    controls = _openblas_thread_controls()
+    before = [get() for _, get in controls]
+    for set_threads, _ in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), n in zip(controls, before):
+            set_threads(n)
+
+
+@_blas_on_one_thread()
 def efficiency_timestepping(rho0: np.ndarray, model: TransportModel,
                             t_max: float | None = None) -> EfficiencyResult:
     """Transport efficiency by adaptive integration of the master equation.
@@ -398,6 +455,7 @@ def build_liouvillian(model: TransportModel) -> sp.csc_matrix:
                          shape=(n * n, n * n))
 
 
+@_blas_on_one_thread()
 def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> EfficiencyResult:
     """Transport efficiency from one sparse linear solve.
 
@@ -437,11 +495,6 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
     whose backward error ||G x - b||_1 / (||G||_1 ||x||_1 + ||b||_1)
     exceeds BACKWARD_ERROR_TOL raises SolverError instead of returning
     eta.
-
-    Called directly, this runs SuperLU's BLAS calls on the caller's
-    OpenBLAS thread count. On 36 models (trees g=5-7, hypercubes d=4-6)
-    no bit of eta changed between 1 and 2 threads, but 2 threads kept two
-    cores busy; ``compute_efficiency`` pins one thread.
     """
     if model.recomb_rate <= 0:
         raise ValueError("direct solve requires recomb_rate > 0 "
@@ -477,67 +530,12 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
                             method=LIOUVILLIAN_SOLVE, horizon=math.inf)
 
 
-# C entry points of OpenBLAS builds: plain, 64-bit-integer, and the
-# prefixed scipy-openblas builds that numpy and scipy wheels bundle.
-_OPENBLAS_THREAD_SETTERS = (
-    "openblas_set_num_threads", "openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
-
-
-@functools.cache
-def _openblas_thread_controls() -> tuple[tuple, ...]:
-    """(set, get) thread-count functions of each OpenBLAS in this process.
-
-    Libraries are found in /proc/self/maps, so there are none where that
-    file does not exist.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
-    except OSError:
-        return ()
-    controls = []
-    for path in sorted(paths):
-        if "openblas" not in os.path.basename(path):
-            continue
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _OPENBLAS_THREAD_SETTERS:
-            getter = name.replace("_set_", "_get_")
-            if hasattr(lib, name) and hasattr(lib, getter):
-                controls.append((getattr(lib, name), getattr(lib, getter)))
-    return tuple(controls)
-
-
-@contextlib.contextmanager
-def _blas_on_one_thread():
-    """Run the body with OpenBLAS on one thread; restore the counts after."""
-    controls = _openblas_thread_controls()
-    before = [get() for _, get in controls]
-    for set_threads, _ in controls:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for (set_threads, _), n in zip(controls, before):
-            set_threads(n)
-
-
 def compute_efficiency(rho0: np.ndarray, model: TransportModel,
                        solver: str = "liouvillian") -> EfficiencyResult:
-    """Dispatch to one of the two efficiency solvers by name.
-
-    The solver runs OpenBLAS on one thread, and the caller's setting is
-    restored afterwards, so pool workers, one per core, do not
-    oversubscribe the cores: on 2 threads one tree g=7 solve used 2 s of
-    CPU per second of wall time. A sweep cell, the matching ``enaqt
-    single`` run and a pool worker's job all run on that one thread.
-    """
+    """Dispatch to one of the two efficiency solvers by name, looked up at
+    call time, so a solver replaced on this module is the one called."""
     solvers = {"liouvillian": efficiency_liouvillian,
                "timestepping": efficiency_timestepping}
     if solver not in solvers:
         raise ValueError(f"unknown solver {solver!r}")
-    with _blas_on_one_thread():
-        return solvers[solver](rho0, model)
+    return solvers[solver](rho0, model)

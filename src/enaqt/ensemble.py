@@ -48,12 +48,6 @@ def default_dephasing_grid() -> tuple[float, ...]:
     return tuple(np.round(np.linspace(0.0, 1.2, 25), 12))
 
 
-def log_dephasing_grid(start: float = 1e-2, stop: float = 1e2,
-                       count: int = 25) -> tuple[float, ...]:
-    """Log-spaced dephasing grid, 1e-2..1e2 by default."""
-    return parse_grid_values(f"log:{start!r}:{stop!r}:{count}")
-
-
 @dataclass(frozen=True)
 class SweepGrid:
     """A sweep: value grids plus everything held fixed across cells."""
@@ -231,11 +225,6 @@ def run_sweep(grid: SweepGrid, n_workers: int = 1,
             eta_mean=float(etas.mean()), eta_stderr=stderr, n=len(etas),
             eta_loss_mean=float(np.mean(losses))))
     return SweepTable(rows=tuple(rows), failures=tuple(failures))
-
-
-def dephasing_profile(grid: SweepGrid, gamma_values) -> np.ndarray:
-    """Efficiency against dephasing rate at zero disorder (deterministic)."""
-    return np.array([run_point(grid, 0.0, g, 0).eta for g in gamma_values])
 
 
 # --- sweep configuration files: plain "key = value" lines ---

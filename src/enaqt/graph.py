@@ -80,18 +80,14 @@ def build_custom(n_sites: int, edge_list) -> Topology:
     return Topology(n_sites=n_sites, edges=tuple(tuple(e) for e in edge_list))
 
 
-def tree_generations(topology: Topology) -> int:
+def leaves(topology: Topology) -> list[int]:
+    """Leaf sites of a binary tree: the last (n + 1) / 2 heap labels."""
+    n = topology.n_sites
     if topology.kind != BINARY_TREE:
         raise ValueError(f"not a binary tree: kind={topology.kind!r}")
-    g = (topology.n_sites + 1).bit_length() - 1
-    assert topology.n_sites == 2 ** g - 1
-    return g
-
-
-def leaves(topology: Topology) -> list[int]:
-    """Leaf sites of a binary tree: the last 2^(g-1) heap labels."""
-    g = tree_generations(topology)
-    return list(range(2 ** (g - 1) - 1, 2 ** g - 1))
+    if n & (n + 1):
+        raise ValueError(f"a binary tree has 2^g - 1 sites, not {n}")
+    return list(range(n // 2, n))
 
 
 def neighbors(topology: Topology, site: int) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ from enaqt.analysis import (efficiency_upper_bound, invariant_subspace,
                             max_disorder_gain)
 from enaqt.dynamics import (efficiency_liouvillian, efficiency_timestepping,
                             propagate, propagate_pure)
-from enaqt.ensemble import (DEFAULT_MASTER_SEED, SweepGrid, dephasing_profile,
+from enaqt.ensemble import (DEFAULT_MASTER_SEED, SweepGrid,
                             default_disorder_grid, run_point, run_sweep)
 from enaqt.graph import build_binary_tree, build_custom, build_hypercube
 from enaqt.model import (LEAF_MIXTURE, SINGLE_SITE, TransportModel,
@@ -48,6 +48,11 @@ def hyper_grid(**kw):
     kw.setdefault("initial_kind", UNIFORM_MIXTURE)
     kw.setdefault("master_seed", DEFAULT_MASTER_SEED)
     return SweepGrid(topology=HYPER4, **kw)
+
+
+def dephasing_profile(grid, gamma_values):
+    """Efficiency against dephasing rate at zero disorder (deterministic)."""
+    return np.array([run_point(grid, 0.0, g, 0).eta for g in gamma_values])
 
 
 LOG_GAMMAS = tuple(np.round(np.logspace(-2.0, 0.0, 9), 12))

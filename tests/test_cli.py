@@ -295,8 +295,11 @@ def test_sweep_config_values_equal_the_same_flags(tmp_path, capsys):
     ("workers = 0", "argument --workers: must be >= 1"),
     ("gamma_recomb = 0", "--gamma-recomb must be > 0"),
     ("disorder_values = 1,0", "must be strictly increasing"),
-    ("dephasing_values = log:1e-12:1e-11:5", "'log:1e-12:1e-11:5'")],
-    ids=["solver", "init", "workers", "gamma_recomb", "grid", "grid_spec"])
+    ("dephasing_values = log:1e-12:1e-11:5", "'log:1e-12:1e-11:5'"),
+    ("volume = 3", "bad.cfg:3: unknown key 'volume'"),
+    ("generations 3", "bad.cfg:3: expected 'key = value'")],
+    ids=["solver", "init", "workers", "gamma_recomb", "grid", "grid_spec",
+         "unknown_key", "malformed"])
 def test_bad_config_value_exits_2_before_any_job(line, message, tmp_path,
                                                  monkeypatch, capsys):
     cfg = tmp_path / "bad.cfg"
@@ -307,7 +310,9 @@ def test_bad_config_value_exits_2_before_any_job(line, message, tmp_path,
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", str(cfg), "--output", str(out_csv)])
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: enaqt sweep")
+    assert message in err
     assert not out_csv.exists()
 
 

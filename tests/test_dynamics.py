@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -490,6 +491,45 @@ def test_compute_efficiency_runs_blas_on_one_thread_and_restores_the_caller():
     finally:
         set_openblas_threads(caller)
     assert etas[0] == etas[1]
+
+
+@pytest.mark.parametrize("solve,inner,raising", [
+    (efficiency_liouvillian, "_factor",
+     lambda rho0, m: efficiency_liouvillian(
+         rho0, dataclasses.replace(m, recomb_rate=0.0))),
+    (efficiency_timestepping, "_rhs_closure",
+     lambda rho0, m: efficiency_timestepping(rho0, m, t_max=-1.0))],
+    ids=["liouvillian", "timestepping"])
+def test_direct_solver_call_runs_blas_on_one_thread_and_restores_the_caller(
+        solve, inner, raising, monkeypatch):
+    caller = openblas_threads()
+    if not caller:
+        pytest.skip("no OpenBLAS library found in this process")
+    seen = []
+    original = getattr(dynamics, inner)
+
+    def spy(*args):
+        seen.append(openblas_threads())
+        return original(*args)
+
+    monkeypatch.setattr(dynamics, inner, spy)
+    t = build_binary_tree(3)
+    m = TransportModel(topology=t, site_energies=(0.0,) * 7, trap_site=0,
+                       trap_rate=1.0, recomb_rate=0.05, dephasing_rate=0.1)
+    rho0 = initial_state(t, LEAF_MIXTURE)
+    two = [2] * len(caller)
+    try:
+        set_openblas_threads(two)
+        solve(rho0, m)
+        assert seen and all(s == [1] * len(caller) for s in seen)
+        assert openblas_threads() == two
+        seen.clear()
+        with pytest.raises(ValueError):
+            raising(rho0, m)
+        assert all(s == [1] * len(caller) for s in seen)
+        assert openblas_threads() == two
+    finally:
+        set_openblas_threads(caller)
 
 
 # --- trap observables ---

@@ -4,8 +4,7 @@ import pytest
 from enaqt import dynamics, ensemble
 from enaqt.ensemble import (DEFAULT_MASTER_SEED, SweepGrid, SweepTable,
                             cell_seed, default_dephasing_grid,
-                            default_disorder_grid, dephasing_profile,
-                            load_sweep_config, log_dephasing_grid,
+                            default_disorder_grid, load_sweep_config,
                             parse_grid_values, run_point, run_sweep)
 from enaqt.graph import build_binary_tree, build_hypercube
 from enaqt.model import LEAF_MIXTURE, SINGLE_SITE, UNIFORM_MIXTURE
@@ -70,7 +69,7 @@ def test_default_grids():
     assert len(d) == 26 and d[0] == 0.0 and d[-1] == 2.5
     g = default_dephasing_grid()
     assert len(g) == 25 and g[-1] == 1.2
-    lg = log_dephasing_grid()
+    lg = parse_grid_values("log:0.01:100:25")
     assert len(lg) == 25 and np.isclose(lg[0], 1e-2) and np.isclose(lg[-1], 1e2)
 
 
@@ -213,6 +212,11 @@ def test_disorder_has_interior_optimum_on_the_tree():
                                                           low.eta_stderr)
         assert mid.eta_mean - high.eta_mean > 3 * np.hypot(mid.eta_stderr,
                                                            high.eta_stderr)
+
+
+def dephasing_profile(grid, gamma_values):
+    """Efficiency against dephasing rate at zero disorder (deterministic)."""
+    return np.array([run_point(grid, 0.0, g, 0).eta for g in gamma_values])
 
 
 def test_dephasing_profile_matches_run_point_and_rises():

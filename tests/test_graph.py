@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from enaqt.graph import (adjacency_matrix, build_binary_tree, build_custom,
-                         build_hypercube, leaves, load_edge_list, neighbors)
+from enaqt.graph import (BINARY_TREE, Topology, adjacency_matrix,
+                         build_binary_tree, build_custom, build_hypercube,
+                         leaves, load_edge_list, neighbors)
 
 
 def bfs_component(n_sites, edges, start=0):
@@ -115,6 +116,13 @@ def test_custom_rejects_bad_edges(edges):
 def test_leaves_root_reject_non_trees():
     t = build_hypercube(2)
     with pytest.raises(ValueError):
+        leaves(t)
+
+
+def test_leaves_reject_a_tree_of_the_wrong_size():
+    t = Topology(n_sites=5, edges=((0, 1), (0, 2), (1, 3), (1, 4)),
+                 kind=BINARY_TREE)
+    with pytest.raises(ValueError, match="2\\^g - 1 sites, not 5"):
         leaves(t)
 
 
