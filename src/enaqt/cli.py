@@ -354,7 +354,7 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             try:
                 flags = _config_flags(args.config)
-            except ValueError as exc:  # a malformed line or an unknown key
+            except (OSError, ValueError) as exc:  # no file, a bad line or key
                 args.parser.error(str(exc))
             # config lines go before the user's flags, so a flag wins
             args = parser.parse_args([args.command, *flags, *argv[1:]])

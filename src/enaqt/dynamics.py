@@ -5,8 +5,8 @@ The equation of motion is
     drho/dt = -i (H rho - rho H^dag) + D(rho)
 
 with the non-Hermitian H from ``assemble_effective_hamiltonian`` and the
-pure-dephasing increment D from ``apply_dephasing`` (rate
-``model.coherence_damping_rate``). The transport efficiency
+pure-dephasing increment D, which damps every coherence at
+``model.coherence_damping_rate``. The transport efficiency
 
     eta = 2 * kappa * integral_0^inf <trap| rho(t) |trap> dt
 
@@ -107,23 +107,36 @@ def _unvec(v: np.ndarray, n: int) -> np.ndarray:
     return v.reshape((n, n), order="F")
 
 
-def _rhs_closure(model: TransportModel):
-    """Flat master-equation RHS with H assembled once.
+def _pack(rho: np.ndarray) -> np.ndarray:
+    """Real coordinates Z = Re rho + Im rho of a Hermitian rho, row-major."""
+    return (rho.real + rho.imag).ravel()
 
-    Every state it is given is Hermitian, so rho H^dag = (H rho)^dag and one
-    matrix product serves both terms.
+
+def _unpack(z: np.ndarray, n: int) -> np.ndarray:
+    """The Hermitian matrices of real coordinates z, whose last axis holds
+    one row-major Z each: rho = (Z + Z^T) / 2 + i (Z - Z^T) / 2."""
+    z = z.reshape(*z.shape[:-1], n, n)
+    zt = np.swapaxes(z, -1, -2)
+    return 0.5 * (z + zt) + 0.5j * (z - zt)
+
+
+def _rhs_closure(model: TransportModel):
+    """Master-equation RHS on the real coordinates Z of ``_pack``.
+
+    H = H_sys - i diag(k), with H_sys real symmetric and k = Gamma +
+    kappa e_trap, so dZ/dt = Z^T H_sys - H_sys Z^T - D o Z with
+    D_ij = k_i + k_j plus the coherence damping rate for i != j: two real
+    products and one elementwise one.
     """
     h = assemble_effective_hamiltonian(model)
+    h_sys = np.ascontiguousarray(h.real)
+    k = -np.diag(h).imag
     n = model.n_sites
-    rate = model.coherence_damping_rate
+    decay = k[:, None] + k + model.coherence_damping_rate * (1.0 - np.eye(n))
 
     def rhs(t, y):
-        rho = _unvec(y, n)
-        a = h @ rho
-        out = -1j * (a - a.conj().T)
-        if rate:
-            out += apply_dephasing(rho, rate)
-        return _vec(out)
+        z = y.reshape(n, n)
+        return (z.T @ h_sys - h_sys @ z.T - decay * z).ravel()
 
     return rhs
 
@@ -132,15 +145,15 @@ def master_equation_rhs(rho: np.ndarray, model: TransportModel) -> np.ndarray:
     """Right-hand side of the master equation at state rho.
 
     rho must be Hermitian to 1e-12, as ``check_density_matrix`` asks, or
-    ValueError is raised: the right-hand side uses rho H^dag = (H rho)^dag,
-    which holds only then.
+    ValueError is raised: the right-hand side works on real coordinates
+    that describe Hermitian states only.
     """
     rho = np.asarray(rho, dtype=complex)
     n = model.n_sites
     if rho.shape != (n, n):
         raise ValueError(f"rho shape {rho.shape} does not match {n} sites")
     check_hermitian(rho)
-    return _unvec(_rhs_closure(model)(0.0, _vec(rho)), n)
+    return _unpack(_rhs_closure(model)(0.0, _pack(rho)), n)
 
 
 def _integrate(rhs, t_final: float, y0: np.ndarray, n_points: int | None = None,
@@ -178,16 +191,14 @@ def propagate(rho0: np.ndarray, model: TransportModel, t_final: float,
               n_points: int = 2000, times: np.ndarray | None = None) -> Trajectory:
     """Integrate the master equation and record states on an output grid.
 
-    Adaptive Dormand-Prince pair of order 8(5,3) (DOP853) in dense complex
-    arithmetic. States are re-Hermitized at the output points.
+    Adaptive Dormand-Prince pair of order 8(5,3) (DOP853) on the N^2 real
+    coordinates of ``_pack``; the states unpacked from them are exactly
+    Hermitian.
     """
     check_density_matrix(rho0)
-    n = model.n_sites
     sol = _integrate(_rhs_closure(model), t_final,
-                     _vec(np.asarray(rho0, dtype=complex)), n_points, times)
-    states = np.moveaxis(sol.y.reshape((n, n, -1), order="F"), 2, 0)
-    states = 0.5 * (states + states.conj().transpose(0, 2, 1))
-    return Trajectory(times=sol.t.copy(), states=states)
+                     _pack(np.asarray(rho0, dtype=complex)), n_points, times)
+    return Trajectory(times=sol.t.copy(), states=_unpack(sol.y.T, model.n_sites))
 
 
 def propagate_pure(psi0: np.ndarray, model: TransportModel, t_final: float,
@@ -289,32 +300,28 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel,
             t_max = math.log(1.0 / TRACE_TOL) / (2.0 * model.recomb_rate)
         else:
             t_max = FALLBACK_HORIZON
-    rhs_flat = _rhs_closure(model)
-    trap = model.trap_site
-    diag_idx = np.arange(n) * (n + 1)
+    rhs_core = _rhs_closure(model)
+    trap = model.trap_site * (n + 1)
+    diag = slice(0, n * n, n + 1)  # the diagonal of Z is rho's
 
     def rhs(t, y):
-        core = rhs_flat(t, y[:n * n])
-        rho_tt = y[trap * (n + 1)].real
-        tr = y[diag_idx].real.sum()
-        return np.concatenate([core, [rho_tt, tr]])
+        return np.concatenate([rhs_core(t, y[:n * n]), [y[trap], y[diag].sum()]])
 
     def trace_event(t, y):
-        return y[diag_idx].real.sum() - TRACE_TOL
+        return y[diag].sum() - TRACE_TOL
 
     trace_event.terminal = True
     trace_event.direction = -1
 
-    y0 = np.concatenate([_vec(np.asarray(rho0, dtype=complex)),
-                         np.zeros(2, dtype=complex)])
+    y0 = np.concatenate([_pack(np.asarray(rho0, dtype=complex)), np.zeros(2)])
     sol = _integrate(rhs, t_max, y0, events=(trace_event,))
     if sol.status == 1:  # the trace event stopped the integration
         t_end, y_end = sol.t_events[0][-1], sol.y_events[0][-1]
     else:
         t_end, y_end = sol.t[-1], sol.y[:, -1]
-    eta = 2.0 * model.trap_rate * y_end[n * n].real
-    eta_loss = 2.0 * model.recomb_rate * y_end[n * n + 1].real
-    residual = y_end[diag_idx].real.sum()
+    eta = 2.0 * model.trap_rate * y_end[n * n]
+    eta_loss = 2.0 * model.recomb_rate * y_end[n * n + 1]
+    residual = y_end[diag].sum()
     return EfficiencyResult(eta=eta, eta_loss=eta_loss, residual_trace=residual,
                             method=TIME_STEPPING, horizon=float(t_end))
 

@@ -297,13 +297,15 @@ def test_sweep_config_values_equal_the_same_flags(tmp_path, capsys):
     ("disorder_values = 1,0", "must be strictly increasing"),
     ("dephasing_values = log:1e-12:1e-11:5", "'log:1e-12:1e-11:5'"),
     ("volume = 3", "bad.cfg:3: unknown key 'volume'"),
-    ("generations 3", "bad.cfg:3: expected 'key = value'")],
+    ("generations 3", "bad.cfg:3: expected 'key = value'"),
+    (None, "No such file or directory")],
     ids=["solver", "init", "workers", "gamma_recomb", "grid", "grid_spec",
-         "unknown_key", "malformed"])
+         "unknown_key", "malformed", "missing_file"])
 def test_bad_config_value_exits_2_before_any_job(line, message, tmp_path,
                                                  monkeypatch, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"graph = binary-tree\ngenerations = 3\n{line}\n")
+    if line is not None:  # None leaves the file unwritten
+        cfg.write_text(f"graph = binary-tree\ngenerations = 3\n{line}\n")
     monkeypatch.setattr(ensemble, "run_sweep",
                         lambda *a, **k: pytest.fail("a sweep job ran"))
     out_csv = tmp_path / "out.csv"

@@ -135,10 +135,10 @@ def test_propagate_overdamped_dimer():
     off = traj.states[-1, 0, 1]
     assert abs(off) / 0.5 < 1e-4
     assert abs(off - 0.5 * np.exp(-10.0)) < 1e-9
-    # independent fixed-step reference on the flattened equation
-    from enaqt.dynamics import _rhs_closure
-    ref = rk4_reference(_rhs_closure(m), rho0.flatten(order="F"), 0.1, 4000)
-    assert abs(off - ref.reshape((2, 2), order="F")[0, 1]) < 1e-9
+    # independent fixed-step reference on the density matrix itself
+    ref = rk4_reference(lambda t, rho: master_equation_rhs(rho, m), rho0,
+                        0.1, 4000)
+    assert abs(off - ref[0, 1]) < 1e-9
 
 
 @pytest.mark.filterwarnings("error")
@@ -297,8 +297,8 @@ def test_trap_in_another_component_gives_positive_zero():
 
 
 def test_timestepping_keeps_no_trajectory():
-    # about 1,700 steps of 227 complex numbers; kept step by step, the
-    # states of this run peak near 14 MB
+    # about 1,800 steps of 227 reals; the run itself peaks near 0.1 MB,
+    # and with DOP853's dense output of every step near 30 MB
     rho0 = initial_state(TREE4, LEAF_MIXTURE)
     m = TransportModel(topology=TREE4, site_energies=(0.0,) * 15, trap_site=0,
                        trap_rate=1.0, recomb_rate=0.01, dephasing_rate=0.01)
@@ -316,6 +316,24 @@ def test_timestepping_returns_the_state_where_the_trace_event_fired():
     res = efficiency_timestepping(initial_state(DIMER, SINGLE_SITE, site=0), m)
     assert res.horizon < math.log(1.0 / TRACE_TOL) / (2.0 * m.recomb_rate)
     assert abs(res.residual_trace - TRACE_TOL) < 1e-12
+
+
+@pytest.mark.parametrize("topology,rho0", [
+    (DIMER, initial_state(DIMER, SINGLE_SITE, site=1)),
+    (build_binary_tree(3), initial_state(build_binary_tree(3), LEAF_MIXTURE))],
+    ids=["dimer", "tree3"])
+def test_zeno_regime_oracle_matches_the_direct_solve(topology, rho0):
+    # the Zeno regime: gamma_phi = 1e3 damps coherences 500 times faster
+    # than they hop, which makes the equation stiff for DOP853
+    m = TransportModel(topology=topology,
+                       site_energies=(0.0,) * topology.n_sites, trap_site=0,
+                       trap_rate=1.0, recomb_rate=1.0, dephasing_rate=1e3)
+    stepped = efficiency_timestepping(rho0, m)
+    direct = efficiency_liouvillian(rho0, m)
+    assert abs(stepped.eta - direct.eta) < 1e-6
+    assert abs(stepped.eta - direct.eta) < 1e-4 * direct.eta
+    for res in (stepped, direct):
+        assert abs(res.eta + res.eta_loss + res.residual_trace - 1.0) < 1e-9
 
 
 def test_liouvillian_requires_positive_recombination():
