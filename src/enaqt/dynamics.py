@@ -10,8 +10,9 @@ pure-dephasing increment D, which damps every coherence at
 
     eta = 2 * kappa * integral_0^inf <trap| rho(t) |trap> dt
 
-is computed by two independent routes: adaptive time stepping of the master
-equation, and a single linear solve against the vectorized generator. Both
+is computed by two independent routes from one real form of the master
+equation, on the N^2 coordinates Z = Re rho + Im rho: adaptive time
+stepping of it, and a single sparse linear solve of its generator. Both
 report the loss bookkeeping eta_loss = 2 * Gamma * integral tr rho dt so
 that eta + eta_loss + residual_trace == 1 up to solver tolerance.
 """
@@ -28,9 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .model import (TransportModel, apply_dephasing,
-                    assemble_effective_hamiltonian, check_density_matrix,
-                    check_hermitian)
+from .model import (TransportModel, assemble_effective_hamiltonian,
+                    check_density_matrix, check_hermitian)
 
 TIME_STEPPING = "time-stepping"
 LIOUVILLIAN_SOLVE = "liouvillian-solve"
@@ -39,9 +39,9 @@ TRACE_TOL = 1e-7  # time stepping stops once tr rho < TRACE_TOL
 RTOL = 1e-8
 ATOL = 1e-10
 FALLBACK_HORIZON = 1e4  # integration horizon when recomb_rate == 0
-# largest ||G x - b||_1 / (||G||_1 ||x||_1 + ||b||_1) a direct solve may
-# return; good solves stay below 2e-13, and with pure diagonal pivots the
-# real system's solves reached 1e-10 to 5e-9
+# largest ||A z - b||_1 / (||A||_1 ||z||_1 + ||b||_1) a direct solve may
+# return; on trees g=4/5 and hypercube d=4 the solves stayed below 3e-14,
+# and with pure diagonal pivots they reached 3e-3
 BACKWARD_ERROR_TOL = 1e-10
 # SuperLU settings of every factorization. Pivots stay on the diagonal while
 # they are at least PIVOT_THRESHOLD of the largest entry in their column
@@ -64,7 +64,7 @@ class IntegrationError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """The vectorized-generator linear system is singular or ill-conditioned."""
+    """The direct solve's linear system is singular or ill-conditioned."""
 
 
 @dataclass(eq=False)
@@ -99,14 +99,6 @@ class Trajectory:
         return self.states.ndim == 2
 
 
-def _vec(mat: np.ndarray) -> np.ndarray:
-    return mat.flatten(order="F")
-
-
-def _unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return v.reshape((n, n), order="F")
-
-
 def _pack(rho: np.ndarray) -> np.ndarray:
     """Real coordinates Z = Re rho + Im rho of a Hermitian rho, row-major."""
     return (rho.real + rho.imag).ravel()
@@ -120,19 +112,25 @@ def _unpack(z: np.ndarray, n: int) -> np.ndarray:
     return 0.5 * (z + zt) + 0.5j * (z - zt)
 
 
-def _rhs_closure(model: TransportModel):
-    """Master-equation RHS on the real coordinates Z of ``_pack``.
+def _coefficients(model: TransportModel) -> tuple[np.ndarray, np.ndarray]:
+    """(H_sys, D) of the master equation on the real coordinates Z of
+    ``_pack``, which both solvers take from here.
 
     H = H_sys - i diag(k), with H_sys real symmetric and k = Gamma +
     kappa e_trap, so dZ/dt = Z^T H_sys - H_sys Z^T - D o Z with
-    D_ij = k_i + k_j plus the coherence damping rate for i != j: two real
-    products and one elementwise one.
+    D_ij = k_i + k_j plus the coherence damping rate for i != j.
     """
     h = assemble_effective_hamiltonian(model)
-    h_sys = np.ascontiguousarray(h.real)
     k = -np.diag(h).imag
+    damping = model.coherence_damping_rate * (1.0 - np.eye(model.n_sites))
+    return np.ascontiguousarray(h.real), k[:, None] + k + damping
+
+
+def _rhs_closure(model: TransportModel):
+    """Master-equation RHS on the real coordinates Z of ``_pack``: two real
+    products and one elementwise one."""
+    h_sys, decay = _coefficients(model)
     n = model.n_sites
-    decay = k[:, None] + k + model.coherence_damping_rate * (1.0 - np.eye(n))
 
     def rhs(t, y):
         z = y.reshape(n, n)
@@ -336,172 +334,124 @@ def _factor(matrix: sp.csc_matrix, order: str):
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """What every generator on one graph shares.
+    """What the real maps of all models on one graph share.
 
-    ``src``/``dst`` are the directed edges, both ways round. Generator
-    entries are listed as: -i h_ij at (i + n k, j + n k) for every edge and
-    k, then +i conj(h_ij) at (k + n i, k + n j), then the n^2 diagonal
-    entries; position p of the CSC structure (``indptr``, ``indices``)
-    stores entry ``entries[p]``.
-
-    The direct solve factors the real system of ``efficiency_liouvillian``,
-    permuted on both sides so that its unknown c sits at position perm[c].
-    The permuted matrix has structure (``ordered_indptr``,
-    ``ordered_indices``); each of its entries sums one or two terms, and
-    term t is ``sign[t]`` times float ``gather[t]`` of the generator's data
-    (the real part of position p is float 2p, the imaginary part 2p + 1),
-    stored at position ``to_ordered[t]``.
+    ``src``/``dst`` are the directed edges, both ways round. The map is
+    permuted on both sides so that unknown z[c] sits at position perm[c];
+    the permuted matrix has CSC structure (``indptr``, ``indices``), and
+    its position p stores entry ``source[p]`` of the values that
+    ``build_liouvillian`` lists.
     """
 
     src: np.ndarray
     dst: np.ndarray
+    perm: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    entries: np.ndarray
-    perm: np.ndarray
-    ordered_indptr: np.ndarray
-    ordered_indices: np.ndarray
-    gather: np.ndarray
-    sign: np.ndarray
-    to_ordered: np.ndarray
-
-    def real_system(self, gen: sp.csc_matrix) -> sp.csc_matrix:
-        """The permuted real matrix of the generator ``gen``."""
-        data = np.bincount(self.to_ordered,
-                           self.sign * gen.data.view(np.float64)[self.gather],
-                           minlength=len(self.ordered_indices))
-        return sp.csc_matrix((data, self.ordered_indices, self.ordered_indptr),
-                             shape=gen.shape)
+    source: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
 def _plan(n: int, edges: tuple[tuple[int, int], ...]) -> _Plan:
-    """The generator pattern of an n-site graph, its real system and order.
+    """The pattern of the real map on an n-site graph, and its order.
 
-    The diagonal is in the pattern whatever the rates: the direct solve
-    needs Gamma > 0, which makes every diagonal entry nonzero. The order is
-    SuperLU's minimum degree on the pair graph, which has one node per pair
-    {i, j} and an edge wherever the real system couples two pairs. It is
-    taken from a factorization of that pattern with unit entries under a
-    dominant diagonal and expanded so that each pair's two unknowns are
-    adjacent. It depends on the pattern alone, so every model on the graph
-    shares it.
+    With ij the row-major index i n + j, the map's entries are listed once:
+    -D_ij at (ij, ij); eps_j - eps_i at (ij, ji) for i != j; and, for every
+    directed edge (s, d) and every k, h_sd at (kd, sk), then -h_sd at
+    (sk, kd). No two fall on the same position. The diagonal is in the
+    pattern whatever the rates: the direct solve needs Gamma > 0, which
+    makes every D_ij positive. The order is SuperLU's minimum degree on the
+    pair graph, which has one node per pair {i, j} and an edge wherever the
+    map couples two pairs. It is taken from a factorization of that pattern
+    with unit entries under a dominant diagonal and expanded so that each
+    pair's two unknowns Z_ij and Z_ji are adjacent. It depends on the
+    pattern alone, so every model on the graph shares it.
     """
     e = np.array(edges, dtype=np.intp).reshape(-1, 2)
     src, dst = np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]])
     nn = n * n
-    k = np.arange(n)[:, None]
     diag = np.arange(nn)
-    rows = np.concatenate([(src + n * k).ravel(), (k + n * src).ravel(), diag])
-    cols = np.concatenate([(dst + n * k).ravel(), (k + n * dst).ravel(), diag])
-    # copied, as scipy may return views of its conversion buffers
-    numbered = sp.csc_matrix((np.arange(len(rows)), (rows, cols)), shape=(nn, nn))
-    indptr, indices = numbered.indptr.copy(), numbered.indices.copy()
-    entries = numbered.data.copy()
-
-    # unknown i + n j is Re X_ij for i >= j and Im X_ij for i < j, so
-    # x_ij = y[re] + i s y[im] over the pair's two unknowns, with s = +1
-    # above the diagonal, -1 below it and no second term on it
-    i, j = diag % n, diag // n
-    re = np.maximum(i, j) + n * np.minimum(i, j)
-    im = np.minimum(i, j) + n * np.maximum(i, j)
-    col = np.repeat(diag, np.diff(indptr))
-    off = i[col] != j[col]
-    s = np.where(i[col] < j[col], 1.0, -1.0)[off]
-    # row i + n j keeps the real part for i >= j and the imaginary part
-    # for i < j: Re(g) and Im(g), or Re(i s g) = -s Im(g) and
-    # Im(i s g) = s Re(g)
-    re_row = i[indices] >= j[indices]
-    p = np.arange(len(indices))
-    real_rows = np.concatenate([indices, indices[off]])
-    real_cols = np.concatenate([re[col], im[col][off]])
-    gather = np.concatenate([2 * p + ~re_row, 2 * p[off] + re_row[off]])
-    sign = np.concatenate([np.ones(len(p)), np.where(re_row[off], -s, s)])
+    i, j = diag // n, diag % n
+    off = diag[i != j]
+    k = np.arange(n)[:, None]
+    kd, sk = (k * n + dst).ravel(), (src * n + k).ravel()
+    rows = np.concatenate([diag, off, kd, sk])
+    cols = np.concatenate([diag, j[off] * n + i[off], sk, kd])
+    source = np.concatenate([diag, nn + off, 2 * nn + np.arange(2 * len(kd))])
 
     n_pairs = n * (n + 1) // 2
-    pair = np.unique(re, return_inverse=True)[1]
+    pair = np.unique(np.minimum(i, j) * n + np.maximum(i, j), return_inverse=True)[1]
     pattern = sp.csc_matrix(
-        (np.where(pair[real_rows] == pair[real_cols], 4.0 * n, 1.0),
-         (pair[real_rows], pair[real_cols])), shape=(n_pairs, n_pairs))
+        (np.where(pair[rows] == pair[cols], 4.0 * n, 1.0), (pair[rows], pair[cols])),
+        shape=(n_pairs, n_pairs))
     by_position = np.argsort(_factor(pattern, "MMD_AT_PLUS_A").perm_c)
     size = np.bincount(pair)
     start = np.empty(n_pairs, dtype=np.intp)
     start[by_position] = np.cumsum(size[by_position]) - size[by_position]
     perm = start[pair] + (i < j)
-    keys, to_ordered = np.unique(perm[real_cols] * nn + perm[real_rows],
-                                 return_inverse=True)
-    plan = _Plan(src, dst, indptr, indices, entries, perm,
+    keys = perm[cols] * nn + perm[rows]
+    order = np.argsort(keys)
+    keys = keys[order]
+    plan = _Plan(src, dst, perm,
                  np.searchsorted(keys // nn, np.arange(nn + 1)).astype(np.int32),
-                 (keys % nn).astype(np.int32), gather, sign, to_ordered.copy())
+                 (keys % nn).astype(np.int32), source[order])
     for arr in vars(plan).values():
         arr.flags.writeable = False
     return plan
 
 
 def build_liouvillian(model: TransportModel) -> sp.csc_matrix:
-    """Vectorized generator of the master equation (column-stacking).
+    """Sparse matrix A of the real master equation dz/dt = A z, permuted by
+    the graph's plan: A[r, c] sits at (perm[r], perm[c]).
 
-    -i(H rho - rho H^dag) becomes -i [I (x) H - conj(H) (x) I]: each
-    off-diagonal h_ij puts -i h_ij at (i + n k, j + n k) and +i conj(h_ij)
-    at (k + n i, k + n j) for every k. The diagonal entry of rho_ik is
-    -i h_ii + i conj(h_kk), less the dephasing rate when i != k. The values
-    are written into the graph's cached CSC structure.
+    z is the row-major ``_pack`` of rho, and A z = vec(Z^T H_sys -
+    H_sys Z^T - D o Z) is the map that time stepping integrates, with
+    (H_sys, D) from ``_coefficients``. The values are listed in ``_plan``'s
+    order and written into the graph's cached CSC structure.
     """
-    h = assemble_effective_hamiltonian(model)
+    h_sys, decay = _coefficients(model)
     n = model.n_sites
     plan = _plan(n, model.topology.edges)
-    hij = h[plan.src, plan.dst]
-    d = np.diag(h)
-    diag = -1j * d[:, None] + 1j * d.conj()
-    rate = model.coherence_damping_rate
-    if rate:
-        diag += apply_dephasing(np.ones((n, n)), rate)
-    data = np.concatenate([np.tile(-1j * hij, n), np.tile(1j * hij.conj(), n),
-                           _vec(diag)])[plan.entries]
-    return sp.csc_matrix((data, plan.indices.copy(), plan.indptr.copy()),
-                         shape=(n * n, n * n))
+    eps = np.diag(h_sys)
+    hop = h_sys[plan.src, plan.dst]
+    values = np.concatenate([-decay.ravel(), (eps - eps[:, None]).ravel(),
+                             np.tile(hop, n), np.tile(-hop, n)])
+    return sp.csc_matrix((values[plan.source], plan.indices.copy(),
+                          plan.indptr.copy()), shape=(n * n, n * n))
 
 
 @_blas_on_one_thread()
 def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> EfficiencyResult:
     """Transport efficiency from one sparse linear solve.
 
-    All generator eigenvalues have real part <= -2 Gamma, so for Gamma > 0
-    the time integral X of rho solves generator @ X = -rho0 exactly;
-    eta = 2 kappa X[trap, trap]. No truncation error and fixed cost, which
-    makes this the default for sweep production.
+    All eigenvalues of the real map A of ``build_liouvillian`` have real
+    part <= -2 Gamma, so for Gamma > 0 the time integral z of the packed
+    state solves A z = -_pack(rho0) exactly. Z's diagonal is rho's, so
+    eta = 2 kappa z[trap (n + 1)] and eta_loss = 2 Gamma sum_i z[i (n + 1)].
+    No truncation error and fixed cost, which makes this the default for
+    sweep production. Z_ij and Z_ji are sqrt 2 times an orthogonal
+    rotation of Re rho_ij and Im rho_ij, and Z_ii = rho_ii, so A is as well
+    conditioned as the complex generator to within a factor sqrt 2.
 
-    X is Hermitian, and the generator G maps Hermitian matrices to
-    Hermitian ones, so the solve runs on n^2 real unknowns instead of n^2
-    complex ones: y[i + n j] is Re X_ij for i >= j and Im X_ij for i < j,
-    and row i + n j of the real system is the real part of
-    (G x + vec rho0) at (i, j) for i >= j and its imaginary part for
-    i < j. These n^2 numbers fix G x, so the system is exact for every
-    model, and it is as well conditioned as G; eliminating its Re or Im
-    half instead would square the condition number. All models on one
-    graph share its pattern, so ``_plan`` finds a minimum-degree order once
-    per graph, on the pair graph, and keeps the gather that writes a
-    model's real entries from its generator. Each solve factors the
-    permuted real system with SuperLU in symmetric mode, in natural order,
-    taking pivots from the diagonal while they are at least
+    All models on one graph share A's pattern, so ``_plan`` finds a
+    minimum-degree order once per graph, on the pair graph. Each solve
+    factors the permuted A with SuperLU in symmetric mode, in natural
+    order, taking pivots from the diagonal while they are at least
     PIVOT_THRESHOLD of the largest entry in their column. On hypercube d=6
-    the factors hold 3.48 M real nonzeros; minimum degree on the real
-    pattern itself gave 3.53 M, and on tree g=7 1.09 M against the pair
-    graph's 1.03 M.
+    the factors hold 3.46 M nonzeros.
 
     The threshold is 0.01, not 0. Strong disorder (delta_eps = 10), no
-    dephasing and Gamma = 1e-9 put the diagonal of a pair {i, j} below
-    0.01 of the eps_i - eps_j that couples its two unknowns, and with pure
-    diagonal pivots the backward error reached 5e-9. At 0.01 the pivot
-    moves inside the pair, whose unknowns are adjacent in the order, and
-    the backward error stayed below 1e-14 on trees g=4/5 and hypercube
-    d=4 over delta_eps <= 10, gamma_phi from 0 to 1e3, Gamma down to 1e-9
-    and kappa in {1, 2, 50}; the hypercube d=6 factors keep the fill they
-    have at 0. At 0.1 and 1.0 they grow to 10.8 M and 10.7 M nonzeros, and
-    the factorization takes 10x as long. x is rebuilt from y, and a solve
-    whose backward error ||G x - b||_1 / (||G||_1 ||x||_1 + ||b||_1)
-    exceeds BACKWARD_ERROR_TOL raises SolverError instead of returning
-    eta.
+    dephasing and Gamma = 1e-9 put D_ij below 0.01 of the eps_j - eps_i
+    that couples Z_ij and Z_ji, and with pure diagonal pivots the backward
+    error reached 3e-3. At 0.01 the pivot moves inside the pair, whose
+    unknowns are adjacent in the order, and the backward error stayed
+    below 3e-14 on trees g=4/5 and hypercube d=4 over delta_eps <= 10,
+    gamma_phi from 0 to 1e3, Gamma down to 1e-9 and kappa in {1, 2, 50};
+    the hypercube d=6 factors keep the fill they have at 0. At 0.1 and 1.0
+    they grow to 10.7 M and 10.6 M nonzeros, and the factorization takes
+    12 to 16 times as long. A solve whose backward error
+    ||A z - b||_1 / (||A||_1 ||z||_1 + ||b||_1) exceeds BACKWARD_ERROR_TOL
+    raises SolverError instead of returning eta.
     """
     if model.recomb_rate <= 0:
         raise ValueError("direct solve requires recomb_rate > 0 "
@@ -509,30 +459,27 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
     check_density_matrix(rho0)
     n = model.n_sites
     plan = _plan(n, model.topology.edges)
-    gen = build_liouvillian(model)
-    b = -_vec(np.asarray(rho0, dtype=complex))
-    ordered_b = np.empty(n * n)
-    ordered_b[plan.perm] = np.where(_vec(np.tri(n, dtype=bool)), b.real, b.imag)
+    a = build_liouvillian(model)
+    b = np.empty(n * n)
+    b[plan.perm] = -_pack(np.asarray(rho0, dtype=complex))
     try:
-        y = _factor(plan.real_system(gen), "NATURAL").solve(ordered_b)[plan.perm]
+        y = _factor(a, "NATURAL").solve(b)
     except RuntimeError as exc:  # singular factorization
         raise SolverError(f"generator factorization failed: {exc}") from exc
     if not np.all(np.isfinite(y)):
         raise SolverError("generator solve produced non-finite values")
-    big_y = _unvec(y, n)
-    upper = np.triu(big_y, 1)  # Im X above the diagonal
-    x = _vec(np.tril(big_y) + np.tril(big_y, -1).T + 1j * (upper - upper.T))
-    # ||G||_1 is the largest column sum; no column of G is empty, as
-    # Re G[d, d] <= -2 Gamma < 0
-    norm_gen = np.add.reduceat(np.abs(gen.data), gen.indptr[:-1]).max()
-    backward = (np.abs(gen @ x - b).sum()
-                / (norm_gen * np.abs(x).sum() + np.abs(b).sum()))
+    # ||A||_1 is the largest column sum; no column of A is empty, as each
+    # holds -D_ij <= -2 Gamma < 0
+    norm_a = np.add.reduceat(np.abs(a.data), a.indptr[:-1]).max()
+    backward = (np.abs(a @ y - b).sum()
+                / (norm_a * np.abs(y).sum() + np.abs(b).sum()))
     if backward > BACKWARD_ERROR_TOL:
         raise SolverError(f"generator solve has backward error {backward:.2e} "
                           f"> {BACKWARD_ERROR_TOL:g}")
+    z = y[plan.perm]
     # + 0.0 turns a -0.0 from a trap the excitation never reaches into 0.0
-    eta = 2.0 * model.trap_rate * big_y[model.trap_site, model.trap_site] + 0.0
-    eta_loss = 2.0 * model.recomb_rate * np.trace(big_y)
+    eta = 2.0 * model.trap_rate * z[model.trap_site * (n + 1)] + 0.0
+    eta_loss = 2.0 * model.recomb_rate * z[::n + 1].sum()
     return EfficiencyResult(eta=eta, eta_loss=eta_loss, residual_trace=0.0,
                             method=LIOUVILLIAN_SOLVE, horizon=math.inf)
 

@@ -108,21 +108,6 @@ def assemble_effective_hamiltonian(model: TransportModel) -> np.ndarray:
     return h
 
 
-def apply_dephasing(rho: np.ndarray, rate: float) -> np.ndarray:
-    """Pure-dephasing increment for site-projector generators.
-
-    Closed form of the generator sum: every off-diagonal element is scaled
-    by -rate, the diagonal maps to exactly zero. O(N^2) instead of the
-    O(N^3) literal sum over projector sandwiches.
-    """
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("rho must be a square matrix")
-    out = -rate * rho
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
 def initial_state(topology: Topology, kind: str, site: int | None = None) -> np.ndarray:
     """Initial density matrix of the excitation.
 

@@ -1,5 +1,6 @@
-"""The direct solve's generator, its per-graph plan, and properties of eta
-and of the invariant-subspace bound on random custom graphs."""
+"""The direct solve's real map, its per-graph plan, the complex generator
+it is checked against, and properties of eta and of the invariant-subspace
+bound on random custom graphs."""
 import dataclasses
 import itertools
 import os
@@ -16,11 +17,22 @@ from enaqt import analysis, dynamics
 from enaqt.dynamics import build_liouvillian, compute_efficiency, efficiency_liouvillian
 from enaqt.graph import build_binary_tree, build_custom, build_hypercube
 from enaqt.model import (LEAF_MIXTURE, UNIFORM_MIXTURE, TransportModel,
-                         apply_dephasing, assemble_effective_hamiltonian,
+                         assemble_effective_hamiltonian,
                          assemble_system_hamiltonian, initial_state,
                          sample_site_energies)
 
 SRC = str(Path(dynamics.__file__).resolve().parents[1])
+
+
+def apply_dephasing(rho, rate):
+    """Pure-dephasing increment for site-projector generators.
+
+    Closed form of the generator sum: every off-diagonal element is scaled
+    by -rate, the diagonal maps to exactly zero.
+    """
+    out = -rate * rho
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def reference_generator(model):
@@ -44,6 +56,42 @@ def reference_generator(model):
     return sp.csc_matrix((np.concatenate(vals),
                           (np.concatenate(rows), np.concatenate(cols))),
                          shape=(n * n, n * n))
+
+
+def real_coordinates(n):
+    """U with vec(rho) = U z for Hermitian rho, where z is the row-major
+    vec of Z = Re rho + Im rho: column i n + j is vec(rho) for Z = E_ij."""
+    columns = []
+    for i in range(n):
+        for j in range(n):
+            rho = np.zeros((n, n), dtype=complex)
+            rho[i, j] += 0.5 + 0.5j
+            rho[j, i] += 0.5 - 0.5j
+            columns.append(rho.flatten(order="F"))
+    return np.array(columns).T
+
+
+def reference_map(model):
+    """pack o reference_generator o unpack: the real map of model on
+    row-major Z coordinates, from the complex generator."""
+    n = model.n_sites
+    out = reference_generator(model) @ real_coordinates(n)
+    out = out.reshape(n, n, n * n).transpose(1, 0, 2).reshape(n * n, n * n)
+    return out.real + out.imag
+
+
+def natural_map(m, a=None):
+    """build_liouvillian(m), or a, permuted back to natural order."""
+    plan = dynamics._plan(m.n_sites, m.topology.edges)
+    a = build_liouvillian(m) if a is None else a
+    return a.toarray()[np.ix_(plan.perm, plan.perm)]
+
+
+def assert_same_map(got, want):
+    # unpack halves each coherence and pack adds the halves back, so the
+    # reference rounds the entries it rebuilds by up to one ulp
+    assert np.array_equal(got != 0, want != 0)
+    assert np.abs(got - want).max(initial=0.0) <= np.spacing(np.abs(want).max())
 
 
 def random_model(topology, rng, **rates):
@@ -88,7 +136,7 @@ def test_generator_matches_the_index_array_assembly(name, gamma_phi):
     m = random_model(GRAPHS[name], rng, dephasing_rate=gamma_phi)
     got = build_liouvillian(m)
     assert got.format == "csc" and got.has_canonical_format
-    assert np.array_equal(got.toarray(), reference_generator(m).toarray())
+    assert_same_map(natural_map(m, got), reference_map(m))
 
 
 def test_models_in_sequence_on_one_graph_leave_no_stale_values():
@@ -97,8 +145,7 @@ def test_models_in_sequence_on_one_graph_leave_no_stale_values():
     rho0 = initial_state(t, LEAF_MIXTURE)
     models = [random_model(t, rng, dephasing_rate=g) for g in (0.0, 2.0, 0.0, 0.3)]
     for m in models + models[::-1]:
-        assert np.array_equal(build_liouvillian(m).toarray(),
-                              reference_generator(m).toarray())
+        assert_same_map(natural_map(m), reference_map(m))
         x = np.linalg.solve(reference_generator(m).toarray(),
                             -rho0.flatten(order="F"))
         assert abs(efficiency_liouvillian(rho0, m).eta
@@ -110,8 +157,7 @@ def test_the_generator_does_not_share_arrays_with_the_plan():
     gen = build_liouvillian(m)
     gen.indices[:] = 0
     gen.indptr[:] = 0
-    assert np.array_equal(build_liouvillian(m).toarray(),
-                          reference_generator(m).toarray())
+    assert_same_map(natural_map(m), reference_map(m))
 
 
 def test_the_order_depends_on_the_graph_alone():
@@ -133,27 +179,6 @@ def test_the_plan_holds_no_view_into_the_factor():
 
 # --- the real system the direct solve factors ---
 
-def hermitian_coordinates(n):
-    """C with vec(X) = C y for Hermitian X: column i + n j is vec of the
-    Hermitian matrix whose only nonzero coordinate is Re X_ij = 1 (i >= j)
-    or Im X_ij = 1 (i < j)."""
-    columns = []
-    for j in range(n):
-        for i in range(n):
-            x = np.zeros((n, n), dtype=complex)
-            x[i, j], x[j, i] = (1.0, 1.0) if i >= j else (1j, -1j)
-            columns.append(x.flatten(order="F"))
-    return np.array(columns).T
-
-
-def natural_real_system(m):
-    """The plan's real matrix for model m, permuted back to natural order."""
-    plan = dynamics._plan(m.n_sites, m.topology.edges)
-    ordered = plan.real_system(build_liouvillian(m))
-    assert ordered.has_canonical_format
-    return ordered.toarray()[np.ix_(plan.perm, plan.perm)]
-
-
 def dense_eta(m, rho0):
     n = m.n_sites
     x = np.linalg.solve(reference_generator(m).toarray(), -rho0.flatten(order="F"))
@@ -163,15 +188,17 @@ def dense_eta(m, rho0):
 @pytest.mark.parametrize("name", ["tree3", "dimer", "single-site", "disconnected"])
 @pytest.mark.parametrize("gamma_phi", [0.0, 0.7])
 def test_real_system_is_the_generator_in_hermitian_coordinates(name, gamma_phi):
-    # row i + n j keeps the real part of (G C y) at (i, j) for i >= j and
-    # the imaginary part for i < j
+    # on Hermitian X, the map takes Z = Re X + Im X to Re G(X) + Im G(X)
     rng = np.random.default_rng(len(name))
     m = random_model(GRAPHS[name], rng, dephasing_rate=gamma_phi)
     n = m.n_sites
-    full = reference_generator(m) @ hermitian_coordinates(n)
-    lower = np.tri(n, dtype=bool).flatten(order="F")
-    want = np.where(lower[:, None], full.real, full.imag)
-    assert np.array_equal(natural_real_system(m), want)
+    real = natural_map(m)
+    for _ in range(3):
+        x = random_density_matrix(n, rng)
+        gx = (reference_generator(m) @ x.flatten(order="F")).reshape((n, n), order="F")
+        want = (gx.real + gx.imag).ravel()
+        got = real @ (x.real + x.imag).ravel()
+        assert np.abs(got - want).max() <= 4 * np.spacing(np.abs(want).max())
 
 
 def test_the_order_keeps_each_pairs_unknowns_adjacent():
@@ -203,7 +230,7 @@ def test_real_route_matches_a_complex_solve_on_larger_graphs(topology):
                                            (build_hypercube(4), UNIFORM_MIXTURE)],
                          ids=["tree5", "hypercube4"])
 def test_pairs_pivot_inside_themselves_or_decouple(topology, kind, delta_eps):
-    # the Re and Im unknowns of pair {i, j} couple through eps_i - eps_j;
+    # the unknowns Z_ij and Z_ji of pair {i, j} couple through eps_j - eps_i;
     # with no dephasing and Gamma = 1e-9 that coupling dwarfs their
     # diagonal under disorder, and vanishes at delta_eps = 0. Pure
     # diagonal pivots fail the backward-error guard on some of these
@@ -213,13 +240,13 @@ def test_pairs_pivot_inside_themselves_or_decouple(topology, kind, delta_eps):
     n = topology.n_sites
     rho0 = initial_state(topology, kind)
     i, j = np.triu_indices(n, 1)
-    re, im = j + n * i, i + n * j
+    lower, upper = j * n + i, i * n + j
     for seed, kappa in itertools.product(range(3), (1.0, 2.0)):
         m = TransportModel(topology=topology, trap_site=0, trap_rate=kappa,
                            recomb_rate=1e-9,
                            site_energies=tuple(sample_site_energies(delta_eps, seed, 0, n)))
-        real = natural_real_system(m)
-        coupling, diagonal = np.abs(real[re, im]), np.abs(real[re, re])
+        real = natural_map(m)
+        coupling, diagonal = np.abs(real[lower, upper]), np.abs(real[lower, lower])
         if delta_eps:
             assert np.any(diagonal < 0.01 * coupling)
         else:

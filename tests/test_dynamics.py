@@ -13,13 +13,13 @@ import scipy.sparse.linalg as spla
 from enaqt import dynamics, ensemble
 from enaqt.dynamics import (TRACE_TOL, EfficiencyResult, IntegrationError,
                             SolverError, _blas_on_one_thread, _integrate,
-                            _openblas_thread_controls, build_liouvillian,
-                            compute_efficiency, efficiency_liouvillian,
-                            efficiency_timestepping, master_equation_rhs,
-                            propagate, propagate_pure)
+                            _openblas_thread_controls, compute_efficiency,
+                            efficiency_liouvillian, efficiency_timestepping,
+                            master_equation_rhs, propagate, propagate_pure)
 from enaqt.graph import build_binary_tree, build_custom, build_hypercube
 from enaqt.model import (LEAF_MIXTURE, SINGLE_SITE, TransportModel,
                          UNIFORM_MIXTURE, initial_state, sample_site_energies)
+from test_direct_solve import natural_map, reference_generator
 
 DIMER = build_custom(2, [(0, 1)])
 CHAIN3 = build_custom(3, [(0, 1), (1, 2)])
@@ -297,18 +297,21 @@ def test_trap_in_another_component_gives_positive_zero():
 
 
 def test_timestepping_keeps_no_trajectory():
-    # about 1,800 steps of 227 reals; the run itself peaks near 0.1 MB,
-    # and with DOP853's dense output of every step near 30 MB
+    # the run itself peaks near 0.1 MB; its states at about 1,800 steps of
+    # 227 reals would take 3.2 MB, and DOP853's dense output of every step
+    # near 30 MB. A first run, untraced, imports scipy.integrate, which
+    # would count 10 MB
     rho0 = initial_state(TREE4, LEAF_MIXTURE)
     m = TransportModel(topology=TREE4, site_energies=(0.0,) * 15, trap_site=0,
                        trap_rate=1.0, recomb_rate=0.01, dephasing_rate=0.01)
+    efficiency_timestepping(rho0, m)
     tracemalloc.start()
     try:
         efficiency_timestepping(rho0, m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5e6
+    assert peak < 1e6
 
 
 def test_timestepping_returns_the_state_where_the_trace_event_fired():
@@ -318,16 +321,27 @@ def test_timestepping_returns_the_state_where_the_trace_event_fired():
     assert abs(res.residual_trace - TRACE_TOL) < 1e-12
 
 
-@pytest.mark.parametrize("topology,rho0", [
-    (DIMER, initial_state(DIMER, SINGLE_SITE, site=1)),
-    (build_binary_tree(3), initial_state(build_binary_tree(3), LEAF_MIXTURE))],
-    ids=["dimer", "tree3"])
-def test_zeno_regime_oracle_matches_the_direct_solve(topology, rho0):
+ORACLE_HARD_CASES = [
     # the Zeno regime: gamma_phi = 1e3 damps coherences 500 times faster
     # than they hop, which makes the equation stiff for DOP853
+    pytest.param(DIMER, 1.0, 1.0, 1e3, initial_state(DIMER, SINGLE_SITE, site=1),
+                 id="zeno-dimer"),
+    pytest.param(build_binary_tree(3), 1.0, 1.0, 1e3,
+                 initial_state(build_binary_tree(3), LEAF_MIXTURE), id="zeno-tree3"),
+    # the dimer exceptional point kappa = 2V, where H_eff is defective
+    *[pytest.param(DIMER, 2.0, gamma, gamma_phi,
+                   initial_state(DIMER, SINGLE_SITE, site=1),
+                   id=f"ep-dimer-gamma{gamma:g}-dephasing{gamma_phi:g}")
+      for gamma in (0.01, 1e-3) for gamma_phi in (0.0, 0.5)],
+]
+
+
+@pytest.mark.parametrize("topology,kappa,gamma,gamma_phi,rho0", ORACLE_HARD_CASES)
+def test_oracle_matches_the_direct_solve_in_hard_regimes(topology, kappa, gamma,
+                                                         gamma_phi, rho0):
     m = TransportModel(topology=topology,
                        site_energies=(0.0,) * topology.n_sites, trap_site=0,
-                       trap_rate=1.0, recomb_rate=1.0, dephasing_rate=1e3)
+                       trap_rate=kappa, recomb_rate=gamma, dephasing_rate=gamma_phi)
     stepped = efficiency_timestepping(rho0, m)
     direct = efficiency_liouvillian(rho0, m)
     assert abs(stepped.eta - direct.eta) < 1e-6
@@ -401,8 +415,9 @@ def test_generator_applies_the_master_equation():
                        trap_site=2, trap_rate=0.7, recomb_rate=0.03,
                        dephasing_rate=0.4)
     rho = random_density_matrix(7, rng)
-    got = build_liouvillian(m) @ rho.flatten(order="F")
-    want = master_equation_rhs(rho, m).flatten(order="F")
+    got = natural_map(m) @ (rho.real + rho.imag).ravel()
+    rhs = master_equation_rhs(rho, m)
+    want = (rhs.real + rhs.imag).ravel()
     assert np.abs(got - want).max() < 1e-13
 
 
@@ -427,7 +442,7 @@ def test_direct_solve_in_hard_regimes(topology, energies, kappa, gamma_phi, rho0
                        trap_rate=kappa, recomb_rate=1e-9,
                        dephasing_rate=gamma_phi)
     res = efficiency_liouvillian(rho0, m)
-    x = np.linalg.solve(build_liouvillian(m).toarray(), -rho0.flatten(order="F"))
+    x = np.linalg.solve(reference_generator(m).toarray(), -rho0.flatten(order="F"))
     assert abs(res.eta - 2 * kappa * x[0].real) < 1e-6
     assert abs(res.eta + res.eta_loss - 1.0) < 1e-9
 

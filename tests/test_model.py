@@ -4,10 +4,10 @@ import pytest
 from enaqt.graph import (adjacency_matrix, build_binary_tree, build_custom,
                          build_hypercube)
 from enaqt.model import (LEAF_MIXTURE, SINGLE_SITE, TransportModel,
-                         UNIFORM_MIXTURE, apply_dephasing,
-                         assemble_effective_hamiltonian,
+                         UNIFORM_MIXTURE, assemble_effective_hamiltonian,
                          assemble_system_hamiltonian, check_density_matrix,
                          initial_state, sample_site_energies)
+from test_direct_solve import apply_dephasing
 
 
 def random_hermitian(n, rng):
@@ -134,7 +134,7 @@ def test_coherence_damping_is_half_the_dephasing_rate():
     assert m.coherence_damping_rate == 0.4
 
 
-# --- dephasing channel ---
+# --- dephasing channel: the closed form the reference generator uses ---
 
 def test_dephasing_zero_rate_and_diagonal_input():
     rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
