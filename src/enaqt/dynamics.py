@@ -11,8 +11,10 @@ pure-dephasing increment D, which damps every coherence at
     eta = 2 * kappa * integral_0^inf <trap| rho(t) |trap> dt
 
 is computed by two independent routes from one real form of the master
-equation, on the N^2 coordinates Z = Re rho + Im rho: adaptive time
-stepping of it, and a single sparse linear solve of its generator. Both
+equation, on the N^2 coordinates Z = Re rho + Im rho. Both take its map
+from one sparse entry list per graph: adaptive time stepping applies it
+as one natural-order sparse matrix, one product per stage, and the
+direct solve factors it, permuted, in a single sparse linear solve. Both
 report the loss bookkeeping eta_loss = 2 * Gamma * integral tr rho dt so
 that eta + eta_loss + residual_trace == 1 up to solver tolerance.
 """
@@ -24,6 +26,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,9 +42,7 @@ TRACE_TOL = 1e-7  # time stepping stops once tr rho < TRACE_TOL
 RTOL = 1e-8
 ATOL = 1e-10
 FALLBACK_HORIZON = 1e4  # integration horizon when recomb_rate == 0
-# largest ||A z - b||_1 / (||A||_1 ||z||_1 + ||b||_1) a direct solve may
-# return; on trees g=4/5 and hypercube d=4 the solves stayed below 3e-14,
-# and with pure diagonal pivots they reached 3e-3
+# largest backward error a direct solve may return (see efficiency_liouvillian)
 BACKWARD_ERROR_TOL = 1e-10
 # SuperLU settings of every factorization. Pivots stay on the diagonal while
 # they are at least PIVOT_THRESHOLD of the largest entry in their column
@@ -112,31 +113,76 @@ def _unpack(z: np.ndarray, n: int) -> np.ndarray:
     return 0.5 * (z + zt) + 0.5j * (z - zt)
 
 
-def _coefficients(model: TransportModel) -> tuple[np.ndarray, np.ndarray]:
-    """(H_sys, D) of the master equation on the real coordinates Z of
-    ``_pack``, which both solvers take from here.
+def _read_only(**arrays) -> SimpleNamespace:
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return SimpleNamespace(**arrays)
 
-    H = H_sys - i diag(k), with H_sys real symmetric and k = Gamma +
-    kappa e_trap, so dZ/dt = Z^T H_sys - H_sys Z^T - D o Z with
-    D_ij = k_i + k_j plus the coherence damping rate for i != j.
+
+@functools.lru_cache(maxsize=8)
+def _entries(n: int, edges: tuple[tuple[int, int], ...]) -> SimpleNamespace:
+    """The entries of the real map on an n-site graph, which every model on
+    it shares, in natural CSR order (``indptr``): entry e sits at
+    (``rows[e]``, ``cols[e]``) and takes value ``source[e]`` of the table
+    that ``_values`` gathers from.
+
+    With ij the row-major index i n + j, the map has -D_ij at (ij, ij);
+    eps_j - eps_i at (ij, ji) for i != j; and, for every directed edge
+    (s, d) and every k, h_sd at (kd, sk) and -h_sd at (sk, kd). No two
+    fall on the same position. The diagonal is listed whatever the rates:
+    the direct solve needs Gamma > 0, which makes every D_ij positive.
     """
+    e = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    src, dst = np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]])
+    nn = n * n
+    diag = np.arange(nn)
+    i, j = diag // n, diag % n
+    off = diag[i != j]
+    k = np.arange(n)[:, None]
+    kd, sk = (k * n + dst).ravel(), (src * n + k).ravel()
+    hop = np.tile(2 * nn + src * n + dst, n)
+    rows = np.concatenate([diag, off, kd, sk])
+    cols = np.concatenate([diag, j[off] * n + i[off], sk, kd])
+    order = np.argsort(rows * nn + cols)
+    rows = rows[order]
+    return _read_only(
+        rows=rows, cols=cols[order].astype(np.int32),
+        indptr=np.searchsorted(rows, np.arange(nn + 1)).astype(np.int32),
+        source=np.concatenate([diag, nn + off, hop, hop + nn])[order])
+
+
+def _values(model: TransportModel) -> np.ndarray:
+    """The values of the real map's entries for model, in ``_entries``'s
+    order, gathered from the row-major table of -D, eps_j - eps_i, H_sys
+    and -H_sys. H = H_sys - i diag(k), with H_sys real symmetric and
+    k = Gamma + kappa e_trap, so on the real coordinates Z of ``_pack``
+    dZ/dt = Z^T H_sys - H_sys Z^T - D o Z, with D_ij = k_i + k_j plus the
+    coherence damping rate for i != j."""
     h = assemble_effective_hamiltonian(model)
-    k = -np.diag(h).imag
-    damping = model.coherence_damping_rate * (1.0 - np.eye(model.n_sites))
-    return np.ascontiguousarray(h.real), k[:, None] + k + damping
-
-
-def _rhs_closure(model: TransportModel):
-    """Master-equation RHS on the real coordinates Z of ``_pack``: two real
-    products and one elementwise one."""
-    h_sys, decay = _coefficients(model)
     n = model.n_sites
+    eps, k = h.real.diagonal(), -h.imag.diagonal()
+    decay = k[:, None] + k + model.coherence_damping_rate * (1.0 - np.eye(n))
+    table = np.concatenate([-decay, eps - eps[:, None], h.real, -h.real]).ravel()
+    return table[_entries(n, model.topology.edges).source]
 
-    def rhs(t, y):
-        z = y.reshape(n, n)
-        return (z.T @ h_sys - h_sys @ z.T - decay * z).ravel()
 
-    return rhs
+def _real_map(model: TransportModel, integrals: bool = False) -> sp.csr_matrix:
+    """The real map A in natural order, as CSR: dz/dt = A z on the
+    row-major z = _pack(rho). With ``integrals``, two more rows give the
+    derivatives of the running integrals of the trap population
+    z[trap (n + 1)] and of the trace sum_i z[i (n + 1)], carried as the
+    last two components of a state two longer."""
+    n = model.n_sites
+    entries = _entries(n, model.topology.edges)
+    values, cols, indptr = _values(model), entries.cols, entries.indptr
+    size = n * n
+    if integrals:
+        diag = np.arange(0, size, n + 1, dtype=np.int32)
+        values = np.concatenate([values, np.ones(n + 1)])
+        cols = np.concatenate([cols, diag[[model.trap_site]], diag])
+        indptr = np.concatenate([indptr, indptr[-1] + [1, n + 1]])
+        size += 2
+    return sp.csr_matrix((values, cols, indptr), shape=(size, size))
 
 
 def master_equation_rhs(rho: np.ndarray, model: TransportModel) -> np.ndarray:
@@ -151,7 +197,7 @@ def master_equation_rhs(rho: np.ndarray, model: TransportModel) -> np.ndarray:
     if rho.shape != (n, n):
         raise ValueError(f"rho shape {rho.shape} does not match {n} sites")
     check_hermitian(rho)
-    return _unpack(_rhs_closure(model)(0.0, _pack(rho)), n)
+    return _unpack(_real_map(model) @ _pack(rho), n)
 
 
 def _integrate(rhs, t_final: float, y0: np.ndarray, n_points: int | None = None,
@@ -194,7 +240,8 @@ def propagate(rho0: np.ndarray, model: TransportModel, t_final: float,
     Hermitian.
     """
     check_density_matrix(rho0)
-    sol = _integrate(_rhs_closure(model), t_final,
+    a = _real_map(model)
+    sol = _integrate(lambda t, z: a @ z, t_final,
                      _pack(np.asarray(rho0, dtype=complex)), n_points, times)
     return Trajectory(times=sol.t.copy(), states=_unpack(sol.y.T, model.n_sites))
 
@@ -214,11 +261,7 @@ def propagate_pure(psi0: np.ndarray, model: TransportModel, t_final: float,
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
     h = assemble_effective_hamiltonian(model)
-
-    def rhs(t, y):
-        return -1j * (h @ y)
-
-    sol = _integrate(rhs, t_final, psi0, n_points, times)
+    sol = _integrate(lambda t, y: -1j * (h @ y), t_final, psi0, n_points, times)
     return Trajectory(times=sol.t.copy(), states=sol.y.T.copy())
 
 
@@ -261,11 +304,14 @@ def _blas_on_one_thread():
     """Run the body with OpenBLAS on one thread; restore the counts after.
 
     Both efficiency solvers run under it, so pool workers, one per core,
-    do not oversubscribe the cores: on 2 threads one tree g=7 solve used
-    2 s of CPU per second of wall time. It also fixes the bits of eta:
-    on 36 models (trees g=5-7, hypercubes d=4-6) the direct solve gave
-    the same bits on 1 and 2 threads, but time stepping on tree g=5
-    moved eta by up to 1e-10.
+    do not oversubscribe the cores: on 2 threads one direct tree g=7 solve
+    used 2 s of CPU per second of wall time. It also fixes the bits of
+    eta: on 36 models (trees g=5-7, hypercubes d=4-6) the direct solve
+    gave the same bits on 1 and 2 threads. Time stepping's sparse products
+    use no BLAS, but DOP853's stage sums are BLAS matrix-vector products:
+    on tree g=7 at delta_eps = gamma_phi = 1, 2 threads used 2.0 to 2.6 s
+    of CPU per second of wall time, took 1.1 to 1.6 times as long and
+    moved eta by 2.6e-12.
     """
     controls = _openblas_thread_controls()
     before = [get() for _, get in controls]
@@ -298,12 +344,9 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel,
             t_max = math.log(1.0 / TRACE_TOL) / (2.0 * model.recomb_rate)
         else:
             t_max = FALLBACK_HORIZON
-    rhs_core = _rhs_closure(model)
-    trap = model.trap_site * (n + 1)
-    diag = slice(0, n * n, n + 1)  # the diagonal of Z is rho's
-
-    def rhs(t, y):
-        return np.concatenate([rhs_core(t, y[:n * n]), [y[trap], y[diag].sum()]])
+    a = _real_map(model, integrals=True)
+    nn = n * n
+    diag = slice(0, nn, n + 1)  # the diagonal of Z is rho's
 
     def trace_event(t, y):
         return y[diag].sum() - TRACE_TOL
@@ -312,13 +355,13 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel,
     trace_event.direction = -1
 
     y0 = np.concatenate([_pack(np.asarray(rho0, dtype=complex)), np.zeros(2)])
-    sol = _integrate(rhs, t_max, y0, events=(trace_event,))
+    sol = _integrate(lambda t, y: a @ y, t_max, y0, events=(trace_event,))
     if sol.status == 1:  # the trace event stopped the integration
         t_end, y_end = sol.t_events[0][-1], sol.y_events[0][-1]
     else:
         t_end, y_end = sol.t[-1], sol.y[:, -1]
-    eta = 2.0 * model.trap_rate * y_end[n * n]
-    eta_loss = 2.0 * model.recomb_rate * y_end[n * n + 1]
+    eta = 2.0 * model.trap_rate * y_end[nn]
+    eta_loss = 2.0 * model.recomb_rate * y_end[nn + 1]
     residual = y_end[diag].sum()
     return EfficiencyResult(eta=eta, eta_loss=eta_loss, residual_trace=residual,
                             method=TIME_STEPPING, horizon=float(t_end))
@@ -332,53 +375,24 @@ def _factor(matrix: sp.csc_matrix, order: str):
                      options={"SymmetricMode": True})
 
 
-@dataclass(frozen=True, eq=False)
-class _Plan:
-    """What the real maps of all models on one graph share.
-
-    ``src``/``dst`` are the directed edges, both ways round. The map is
-    permuted on both sides so that unknown z[c] sits at position perm[c];
-    the permuted matrix has CSC structure (``indptr``, ``indices``), and
-    its position p stores entry ``source[p]`` of the values that
-    ``build_liouvillian`` lists.
-    """
-
-    src: np.ndarray
-    dst: np.ndarray
-    perm: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    source: np.ndarray
-
-
 @functools.lru_cache(maxsize=8)
-def _plan(n: int, edges: tuple[tuple[int, int], ...]) -> _Plan:
-    """The pattern of the real map on an n-site graph, and its order.
+def _plan(n: int, edges: tuple[tuple[int, int], ...]) -> SimpleNamespace:
+    """The direct solve's order of the real map on an n-site graph: unknown
+    z[c] sits at position ``perm[c]`` on both sides, and position p of the
+    permuted CSC structure (``indptr``, ``indices``) stores entry
+    ``order[p]`` of ``_entries``. Time stepping never builds it.
 
-    With ij the row-major index i n + j, the map's entries are listed once:
-    -D_ij at (ij, ij); eps_j - eps_i at (ij, ji) for i != j; and, for every
-    directed edge (s, d) and every k, h_sd at (kd, sk), then -h_sd at
-    (sk, kd). No two fall on the same position. The diagonal is in the
-    pattern whatever the rates: the direct solve needs Gamma > 0, which
-    makes every D_ij positive. The order is SuperLU's minimum degree on the
-    pair graph, which has one node per pair {i, j} and an edge wherever the
-    map couples two pairs. It is taken from a factorization of that pattern
-    with unit entries under a dominant diagonal and expanded so that each
-    pair's two unknowns Z_ij and Z_ji are adjacent. It depends on the
-    pattern alone, so every model on the graph shares it.
+    The order is SuperLU's minimum degree on the pair graph, which has one
+    node per pair {i, j} and an edge wherever the map couples two pairs,
+    taken from a factorization of that pattern with unit entries under a
+    dominant diagonal and expanded so that each pair's two unknowns Z_ij
+    and Z_ji are adjacent. It depends on the pattern alone, so every model
+    on the graph shares it.
     """
-    e = np.array(edges, dtype=np.intp).reshape(-1, 2)
-    src, dst = np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]])
+    entries = _entries(n, edges)
+    rows, cols = entries.rows, entries.cols
     nn = n * n
-    diag = np.arange(nn)
-    i, j = diag // n, diag % n
-    off = diag[i != j]
-    k = np.arange(n)[:, None]
-    kd, sk = (k * n + dst).ravel(), (src * n + k).ravel()
-    rows = np.concatenate([diag, off, kd, sk])
-    cols = np.concatenate([diag, j[off] * n + i[off], sk, kd])
-    source = np.concatenate([diag, nn + off, 2 * nn + np.arange(2 * len(kd))])
-
+    i, j = np.arange(nn) // n, np.arange(nn) % n
     n_pairs = n * (n + 1) // 2
     pair = np.unique(np.minimum(i, j) * n + np.maximum(i, j), return_inverse=True)[1]
     pattern = sp.csc_matrix(
@@ -392,31 +406,18 @@ def _plan(n: int, edges: tuple[tuple[int, int], ...]) -> _Plan:
     keys = perm[cols] * nn + perm[rows]
     order = np.argsort(keys)
     keys = keys[order]
-    plan = _Plan(src, dst, perm,
-                 np.searchsorted(keys // nn, np.arange(nn + 1)).astype(np.int32),
-                 (keys % nn).astype(np.int32), source[order])
-    for arr in vars(plan).values():
-        arr.flags.writeable = False
-    return plan
+    return _read_only(
+        perm=perm, order=order, indices=(keys % nn).astype(np.int32),
+        indptr=np.searchsorted(keys // nn, np.arange(nn + 1)).astype(np.int32))
 
 
 def build_liouvillian(model: TransportModel) -> sp.csc_matrix:
     """Sparse matrix A of the real master equation dz/dt = A z, permuted by
-    the graph's plan: A[r, c] sits at (perm[r], perm[c]).
-
-    z is the row-major ``_pack`` of rho, and A z = vec(Z^T H_sys -
-    H_sys Z^T - D o Z) is the map that time stepping integrates, with
-    (H_sys, D) from ``_coefficients``. The values are listed in ``_plan``'s
-    order and written into the graph's cached CSC structure.
-    """
-    h_sys, decay = _coefficients(model)
+    the graph's plan: A[r, c] sits at (perm[r], perm[c]). Its values are
+    the ``_values`` that time stepping applies, in the plan's CSC order."""
     n = model.n_sites
     plan = _plan(n, model.topology.edges)
-    eps = np.diag(h_sys)
-    hop = h_sys[plan.src, plan.dst]
-    values = np.concatenate([-decay.ravel(), (eps - eps[:, None]).ravel(),
-                             np.tile(hop, n), np.tile(-hop, n)])
-    return sp.csc_matrix((values[plan.source], plan.indices.copy(),
+    return sp.csc_matrix((_values(model)[plan.order], plan.indices.copy(),
                           plan.indptr.copy()), shape=(n * n, n * n))
 
 
@@ -433,12 +434,9 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
     rotation of Re rho_ij and Im rho_ij, and Z_ii = rho_ii, so A is as well
     conditioned as the complex generator to within a factor sqrt 2.
 
-    All models on one graph share A's pattern, so ``_plan`` finds a
-    minimum-degree order once per graph, on the pair graph. Each solve
-    factors the permuted A with SuperLU in symmetric mode, in natural
-    order, taking pivots from the diagonal while they are at least
-    PIVOT_THRESHOLD of the largest entry in their column. On hypercube d=6
-    the factors hold 3.46 M nonzeros.
+    Each solve factors A in the graph's order from ``_plan`` with SuperLU
+    in symmetric mode, taking pivots from the diagonal while they are at
+    least PIVOT_THRESHOLD of the largest entry in their column.
 
     The threshold is 0.01, not 0. Strong disorder (delta_eps = 10), no
     dephasing and Gamma = 1e-9 put D_ij below 0.01 of the eps_j - eps_i
@@ -447,9 +445,9 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
     unknowns are adjacent in the order, and the backward error stayed
     below 3e-14 on trees g=4/5 and hypercube d=4 over delta_eps <= 10,
     gamma_phi from 0 to 1e3, Gamma down to 1e-9 and kappa in {1, 2, 50};
-    the hypercube d=6 factors keep the fill they have at 0. At 0.1 and 1.0
-    they grow to 10.7 M and 10.6 M nonzeros, and the factorization takes
-    12 to 16 times as long. A solve whose backward error
+    the hypercube d=6 factors keep the 3.46 M nonzeros they have at 0. At
+    0.1 and 1.0 they grow to 10.7 M and 10.6 M, and the factorization
+    takes 12 to 16 times as long. A solve whose backward error
     ||A z - b||_1 / (||A||_1 ||z||_1 + ||b||_1) exceeds BACKWARD_ERROR_TOL
     raises SolverError instead of returning eta.
     """

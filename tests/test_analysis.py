@@ -103,6 +103,25 @@ def test_bound_hypercube_uniform_mixture():
     assert abs(efficiency_upper_bound(sub, rho0) - 5 / 16) < 1e-12
 
 
+# closed forms on the ordered graphs with the trap at site 0: the trap
+# reaches one state per distance from it, the uniform superposition of
+# that shell, so the subspace holds the rest and the bound is the initial
+# weight on those shell states
+@pytest.mark.parametrize("topology, kind, bound, dimension", [
+    *[pytest.param(build_binary_tree(g), LEAF_MIXTURE, 2.0 ** (1 - g), 2 ** g - g - 1,
+                   id=f"tree{g}-leaves") for g in range(2, 8)],
+    *[pytest.param(build_binary_tree(g), UNIFORM_MIXTURE, g / (2 ** g - 1),
+                   2 ** g - g - 1, id=f"tree{g}-uniform") for g in range(2, 8)],
+    *[pytest.param(build_hypercube(d), UNIFORM_MIXTURE, (d + 1) / 2 ** d,
+                   2 ** d - d - 1, id=f"hypercube{d}-uniform") for d in range(1, 7)],
+])
+def test_bound_and_dimension_in_closed_form(topology, kind, bound, dimension):
+    h = assemble_system_hamiltonian(topology, np.zeros(topology.n_sites))
+    sub = invariant_subspace(h, 0)
+    assert sub.dimension == dimension
+    assert abs(efficiency_upper_bound(sub, initial_state(topology, kind)) - bound) < 1e-12
+
+
 def test_bound_is_one_for_empty_subspace():
     h = assemble_system_hamiltonian(build_custom(2, [(0, 1)]), [0.0, 0.0])
     sub = invariant_subspace(h, 0)

@@ -1,6 +1,7 @@
-"""The direct solve's real map, its per-graph plan, the complex generator
-it is checked against, and properties of eta and of the invariant-subspace
-bound on random custom graphs."""
+"""The real map both solvers apply, the direct solve's per-graph plan, the
+complex generator and the dense right-hand side they are checked against,
+and properties of eta and of the invariant-subspace bound on random custom
+graphs."""
 import dataclasses
 import itertools
 import os
@@ -56,6 +57,19 @@ def reference_generator(model):
     return sp.csc_matrix((np.concatenate(vals),
                           (np.concatenate(rows), np.concatenate(cols))),
                          shape=(n * n, n * n))
+
+
+def reference_rhs(model, z):
+    """The master equation on the real coordinates z = vec Z (row-major),
+    Z = Re rho + Im rho, by dense products: Z^T H_sys - H_sys Z^T - D o Z,
+    with H_eff = H_sys - i diag(k) and D_ij = k_i + k_j plus the coherence
+    damping rate for i != j."""
+    h = assemble_effective_hamiltonian(model)
+    n = model.n_sites
+    h_sys, k = h.real, -np.diag(h).imag
+    decay = k[:, None] + k + model.coherence_damping_rate * (1.0 - np.eye(n))
+    zt = z.reshape(n, n).T
+    return (zt @ h_sys - h_sys @ zt - decay * zt.T).ravel()
 
 
 def real_coordinates(n):
@@ -130,13 +144,20 @@ GRAPHS = {
 
 
 @pytest.mark.parametrize("name", GRAPHS)
-@pytest.mark.parametrize("gamma_phi", [0.0, 0.7])
-def test_generator_matches_the_index_array_assembly(name, gamma_phi):
+@pytest.mark.parametrize("rates", [
+    pytest.param({"dephasing_rate": 0.0}, id="0.0"),
+    pytest.param({"dephasing_rate": 0.7}, id="0.7"),
+    # no loss, which only time stepping accepts, and no trap
+    pytest.param({"dephasing_rate": 0.7, "recomb_rate": 0.0}, id="no-loss"),
+    pytest.param({"dephasing_rate": 0.7, "trap_rate": 0.0}, id="no-trap")])
+def test_generator_matches_the_index_array_assembly(name, rates):
     rng = np.random.default_rng(len(name))
-    m = random_model(GRAPHS[name], rng, dephasing_rate=gamma_phi)
+    m = random_model(GRAPHS[name], rng, **rates)
     got = build_liouvillian(m)
     assert got.format == "csc" and got.has_canonical_format
-    assert_same_map(natural_map(m, got), reference_map(m))
+    want = reference_map(m)
+    assert_same_map(natural_map(m, got), want)
+    assert_same_map(dynamics._real_map(m).toarray(), want)
 
 
 def test_models_in_sequence_on_one_graph_leave_no_stale_values():

@@ -19,7 +19,7 @@ from enaqt.dynamics import (TRACE_TOL, EfficiencyResult, IntegrationError,
 from enaqt.graph import build_binary_tree, build_custom, build_hypercube
 from enaqt.model import (LEAF_MIXTURE, SINGLE_SITE, TransportModel,
                          UNIFORM_MIXTURE, initial_state, sample_site_energies)
-from test_direct_solve import natural_map, reference_generator
+from test_direct_solve import natural_map, reference_generator, reference_rhs
 
 DIMER = build_custom(2, [(0, 1)])
 CHAIN3 = build_custom(3, [(0, 1), (1, 2)])
@@ -324,23 +324,30 @@ def test_timestepping_returns_the_state_where_the_trace_event_fired():
 ORACLE_HARD_CASES = [
     # the Zeno regime: gamma_phi = 1e3 damps coherences 500 times faster
     # than they hop, which makes the equation stiff for DOP853
-    pytest.param(DIMER, 1.0, 1.0, 1e3, initial_state(DIMER, SINGLE_SITE, site=1),
+    pytest.param(DIMER, 1.0, 1.0, 1e3, 0.0, initial_state(DIMER, SINGLE_SITE, site=1),
                  id="zeno-dimer"),
-    pytest.param(build_binary_tree(3), 1.0, 1.0, 1e3,
+    pytest.param(build_binary_tree(3), 1.0, 1.0, 1e3, 0.0,
                  initial_state(build_binary_tree(3), LEAF_MIXTURE), id="zeno-tree3"),
     # the dimer exceptional point kappa = 2V, where H_eff is defective
-    *[pytest.param(DIMER, 2.0, gamma, gamma_phi,
+    *[pytest.param(DIMER, 2.0, gamma, gamma_phi, 0.0,
                    initial_state(DIMER, SINGLE_SITE, site=1),
                    id=f"ep-dimer-gamma{gamma:g}-dephasing{gamma_phi:g}")
       for gamma in (0.01, 1e-3) for gamma_phi in (0.0, 0.5)],
+    # disordered and dephased graphs past N = 24
+    pytest.param(build_binary_tree(6), 1.0, 0.01, 1.0, 1.0,
+                 initial_state(build_binary_tree(6), LEAF_MIXTURE), id="tree6-leaves"),
+    pytest.param(build_hypercube(5), 1.0, 0.01, 1.0, 1.0,
+                 initial_state(build_hypercube(5), UNIFORM_MIXTURE),
+                 id="hypercube5-uniform"),
 ]
 
 
-@pytest.mark.parametrize("topology,kappa,gamma,gamma_phi,rho0", ORACLE_HARD_CASES)
+@pytest.mark.parametrize("topology,kappa,gamma,gamma_phi,delta_eps,rho0",
+                         ORACLE_HARD_CASES)
 def test_oracle_matches_the_direct_solve_in_hard_regimes(topology, kappa, gamma,
-                                                         gamma_phi, rho0):
-    m = TransportModel(topology=topology,
-                       site_energies=(0.0,) * topology.n_sites, trap_site=0,
+                                                         gamma_phi, delta_eps, rho0):
+    energies = tuple(sample_site_energies(delta_eps, 0, 0, topology.n_sites))
+    m = TransportModel(topology=topology, site_energies=energies, trap_site=0,
                        trap_rate=kappa, recomb_rate=gamma, dephasing_rate=gamma_phi)
     stepped = efficiency_timestepping(rho0, m)
     direct = efficiency_liouvillian(rho0, m)
@@ -415,10 +422,11 @@ def test_generator_applies_the_master_equation():
                        trap_site=2, trap_rate=0.7, recomb_rate=0.03,
                        dephasing_rate=0.4)
     rho = random_density_matrix(7, rng)
-    got = natural_map(m) @ (rho.real + rho.imag).ravel()
+    z = (rho.real + rho.imag).ravel()
+    want = reference_rhs(m, z)
     rhs = master_equation_rhs(rho, m)
-    want = (rhs.real + rhs.imag).ravel()
-    assert np.abs(got - want).max() < 1e-13
+    for got in (natural_map(m) @ z, (rhs.real + rhs.imag).ravel()):
+        assert np.abs(got - want).max() < 1e-13
 
 
 HARD_CASES = [
@@ -492,6 +500,26 @@ def test_direct_solve_builds_one_generator_and_one_factor(monkeypatch):
     assert calls == ["generator", "splu"]
 
 
+def test_time_stepping_never_builds_the_order(monkeypatch):
+    # the order is the direct solve's alone; on hypercube d=7 building it
+    # takes about 6 s and 190 MB
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the direct solve's order was built")
+
+    monkeypatch.setattr(dynamics, "_plan", unreachable)
+    monkeypatch.setattr(spla, "splu", unreachable)
+    dynamics._entries.cache_clear()
+    t = build_custom(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+    m = TransportModel(topology=t, site_energies=(0.0, 0.3, -0.2, 0.1, 0.4),
+                       trap_site=0, trap_rate=1.0, recomb_rate=0.05,
+                       dephasing_rate=0.2)
+    rho0 = initial_state(t, SINGLE_SITE, site=4)
+    res = efficiency_timestepping(rho0, m)
+    assert abs(res.eta + res.eta_loss + res.residual_trace - 1.0) < 1e-9
+    propagate(rho0, m, 5.0, n_points=10)
+    master_equation_rhs(rho0, m)
+
+
 def set_openblas_threads(counts):
     for (set_threads, _), n in zip(_openblas_thread_controls(), counts):
         set_threads(n)
@@ -530,7 +558,7 @@ def test_compute_efficiency_runs_blas_on_one_thread_and_restores_the_caller():
     (efficiency_liouvillian, "_factor",
      lambda rho0, m: efficiency_liouvillian(
          rho0, dataclasses.replace(m, recomb_rate=0.0))),
-    (efficiency_timestepping, "_rhs_closure",
+    (efficiency_timestepping, "_integrate",
      lambda rho0, m: efficiency_timestepping(rho0, m, t_max=-1.0))],
     ids=["liouvillian", "timestepping"])
 def test_direct_solver_call_runs_blas_on_one_thread_and_restores_the_caller(
@@ -541,9 +569,9 @@ def test_direct_solver_call_runs_blas_on_one_thread_and_restores_the_caller(
     seen = []
     original = getattr(dynamics, inner)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         seen.append(openblas_threads())
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, inner, spy)
     t = build_binary_tree(3)
