@@ -17,6 +17,12 @@ as one natural-order sparse matrix, one product per stage, and the
 direct solve factors it, permuted, in a single sparse linear solve. Both
 report the loss bookkeeping eta_loss = 2 * Gamma * integral tr rho dt so
 that eta + eta_loss + residual_trace == 1 up to solver tolerance.
+
+Time stepping is the Dormand-Prince pair DOP853 in two drivers: the
+efficiency runs Hairer's compiled code (scipy's ``ode``), which calls
+Python only for the right-hand side and once per accepted step, and the
+trajectories of ``propagate`` and ``propagate_pure`` run ``solve_ivp``,
+whose dense output samples an output grid without restarting the steps.
 """
 from __future__ import annotations
 
@@ -25,6 +31,7 @@ import ctypes
 import functools
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -42,6 +49,8 @@ TRACE_TOL = 1e-7  # time stepping stops once tr rho < TRACE_TOL
 RTOL = 1e-8
 ATOL = 1e-10
 FALLBACK_HORIZON = 1e4  # integration horizon when recomb_rate == 0
+# step cap of the compiled DOP853, which scipy requires; no run reaches it
+MAX_STEPS = 2**31 - 1
 # largest backward error a direct solve may return (see efficiency_liouvillian)
 BACKWARD_ERROR_TOL = 1e-10
 # SuperLU settings of every factorization. Pivots stay on the diagonal while
@@ -200,19 +209,22 @@ def master_equation_rhs(rho: np.ndarray, model: TransportModel) -> np.ndarray:
     return _unpack(_real_map(model) @ _pack(rho), n)
 
 
+def _check_horizon(t_final: float) -> None:
+    if not 0 < t_final < math.inf:
+        raise ValueError(f"t_final must be finite and > 0, got {t_final}")
+
+
 def _integrate(rhs, t_final: float, y0: np.ndarray, n_points: int | None = None,
-               times: np.ndarray | None = None, events: tuple = ()):
+               times: np.ndarray | None = None):
     """DOP853 at RTOL/ATOL from 0 to t_final; IntegrationError if it fails.
 
     The solution is sampled on ``times``, on n_points even steps from 0 to
     t_final, or, with neither, at t_final alone. The horizon is checked
-    before the grid is built, so a bad one never reaches numpy. ``events``
-    keep their indices in ``sol.t_events``; one more, which never fires,
-    records the last accepted time for IntegrationError, as ``sol.t``
-    holds only the grid points reached.
+    before the grid is built, so a bad one never reaches numpy. An event
+    that never fires records the last accepted time for IntegrationError,
+    as ``sol.t`` holds only the grid points reached.
     """
-    if not 0 < t_final < math.inf:
-        raise ValueError(f"t_final must be finite and > 0, got {t_final}")
+    _check_horizon(t_final)
     if times is None:
         times = [t_final] if n_points is None else np.linspace(0.0, t_final, n_points)
     from scipy.integrate import solve_ivp  # only time stepping needs it
@@ -225,7 +237,7 @@ def _integrate(rhs, t_final: float, y0: np.ndarray, n_points: int | None = None,
 
     sol = solve_ivp(rhs, (0.0, t_final), y0, method="DOP853", rtol=RTOL,
                     atol=ATOL, t_eval=np.asarray(times, dtype=float),
-                    events=[*events, clock])
+                    events=clock)
     if sol.status < 0:
         raise IntegrationError(f"integration failed: {sol.message}", t_reached)
     return sol
@@ -303,15 +315,11 @@ def _openblas_thread_controls() -> tuple[tuple, ...]:
 def _blas_on_one_thread():
     """Run the body with OpenBLAS on one thread; restore the counts after.
 
-    Both efficiency solvers run under it, so pool workers, one per core,
-    do not oversubscribe the cores: on 2 threads one direct tree g=7 solve
-    used 2 s of CPU per second of wall time. It also fixes the bits of
-    eta: on 36 models (trees g=5-7, hypercubes d=4-6) the direct solve
-    gave the same bits on 1 and 2 threads. Time stepping's sparse products
-    use no BLAS, but DOP853's stage sums are BLAS matrix-vector products:
-    on tree g=7 at delta_eps = gamma_phi = 1, 2 threads used 2.0 to 2.6 s
-    of CPU per second of wall time, took 1.1 to 1.6 times as long and
-    moved eta by 2.6e-12.
+    The direct solve runs under it, so pool workers, one per core, do not
+    oversubscribe the cores: on 2 threads one direct tree g=7 solve used
+    2 s of CPU per second of wall time. It also fixes the bits of eta: on
+    36 models (trees g=5-7, hypercubes d=4-6) the direct solve gave the
+    same bits on 1 and 2 threads.
     """
     controls = _openblas_thread_controls()
     before = [get() for _, get in controls]
@@ -324,7 +332,6 @@ def _blas_on_one_thread():
             set_threads(n)
 
 
-@_blas_on_one_thread()
 def efficiency_timestepping(rho0: np.ndarray, model: TransportModel,
                             t_max: float | None = None) -> EfficiencyResult:
     """Transport efficiency by adaptive integration of the master equation.
@@ -336,6 +343,13 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel,
     t_max = ln(1/TRACE_TOL) / (2 Gamma), whichever comes first (the trace
     decays at least at rate 2 Gamma). With Gamma == 0 a fallback horizon is
     used and the returned eta is a lower bound whenever residual_trace > 0.
+
+    Hairer's compiled DOP853 (scipy's ``ode``) runs the step loop and calls
+    back for the sparse product and once per accepted step. After the first
+    accepted step that ends below TRACE_TOL, the crossing is found on the
+    cubic Hermite interpolant of that step, whose end derivatives are the
+    exact A y; its weights sum to 1, so the interpolated state keeps the
+    budget eta + eta_loss + residual_trace == 1 that A conserves.
     """
     check_density_matrix(rho0)
     n = model.n_sites
@@ -344,22 +358,58 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel,
             t_max = math.log(1.0 / TRACE_TOL) / (2.0 * model.recomb_rate)
         else:
             t_max = FALLBACK_HORIZON
+    _check_horizon(t_max)
+    from scipy.integrate import ode  # only time stepping needs it
+    from scipy.optimize import brentq
+
     a = _real_map(model, integrals=True)
     nn = n * n
     diag = slice(0, nn, n + 1)  # the diagonal of Z is rho's
+    run = SimpleNamespace(a=a, steps=[])  # all that the callbacks reach
 
-    def trace_event(t, y):
-        return y[diag].sum() - TRACE_TOL
+    def solout(t, y):
+        # keep the last two accepted (t, y), from t = 0 on, and stop where
+        # the trace falls through TRACE_TOL, as a state below it never does
+        steps = run.steps = run.steps[-1:] + [(t, y.copy())]
+        return -1 if y[diag].sum() < TRACE_TOL <= steps[0][1][diag].sum() else 0
 
-    trace_event.terminal = True
-    trace_event.direction = -1
+    solver = ode(lambda t, y: run.a @ y).set_integrator(
+        "dop853", rtol=RTOL, atol=ATOL, nsteps=MAX_STEPS)
+    solver.set_solout(solout)
+    solver.set_initial_value(
+        np.concatenate([_pack(np.asarray(rho0, dtype=complex)), np.zeros(2)]))
+    # IWORK(4) = -1 turns off Hairer's stiffness test, which gives up on
+    # the Zeno regime (gamma_phi = 1e4 on the dimer and tree g=3) that the
+    # stepper resolves; scipy exposes it only through the work array that
+    # set_initial_value allocates
+    solver._integrator.iwork[3] = -1
+    try:
+        with warnings.catch_warnings():
+            # scipy warns of a failure that the IntegrationError below reports
+            warnings.simplefilter("ignore", UserWarning)
+            y_end = solver.integrate(t_max)
+        t_end, code, steps = float(solver.t), solver.get_return_code(), run.steps
+    finally:
+        # the compiled driver keeps a reference to both callbacks after a
+        # run, and through solout to the integrator and its work arrays
+        # (scipy 1.17.1: 0.17 MB per tree g=5 solve); leave them holding
+        # nothing of size N^2
+        run.__dict__.clear()
+        solver.set_initial_value(np.zeros(1))
+    if code < 0:
+        raise IntegrationError(f"integration failed: DOP853 return code {code}", t_end)
+    if code == 2:  # solout stopped it at the crossing
+        (t0, y0), (t1, y1) = steps
+        h = t1 - t0
+        f0, f1 = a @ y0, a @ y1
 
-    y0 = np.concatenate([_pack(np.asarray(rho0, dtype=complex)), np.zeros(2)])
-    sol = _integrate(lambda t, y: a @ y, t_max, y0, events=(trace_event,))
-    if sol.status == 1:  # the trace event stopped the integration
-        t_end, y_end = sol.t_events[0][-1], sol.y_events[0][-1]
-    else:
-        t_end, y_end = sol.t[-1], sol.y[:, -1]
+        def hermite(s):
+            s2, s3 = s * s, s * s * s
+            return ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * h * f0
+                    + (3 * s2 - 2 * s3) * y1 + (s3 - s2) * h * f1)
+
+        s = brentq(lambda s: hermite(s)[diag].sum() - TRACE_TOL, 0.0, 1.0)
+        t_end, y_end = t0 + s * h, hermite(s)
     eta = 2.0 * model.trap_rate * y_end[nn]
     eta_loss = 2.0 * model.recomb_rate * y_end[nn + 1]
     residual = y_end[diag].sum()

@@ -72,6 +72,42 @@ def reference_rhs(model, z):
     return (zt @ h_sys - h_sys @ zt - decay * zt.T).ravel()
 
 
+def reference_timestepping(rho0, model):
+    """The efficiency by scipy's ``solve_ivp`` DOP853 on the time stepper's
+    map, whose last two components are the running integrals of the trap
+    population and of the trace, to the horizon of
+    ``efficiency_timestepping``; a terminal event on DOP853's dense output
+    stops it where the trace falls to TRACE_TOL."""
+    from scipy.integrate import solve_ivp
+
+    n = model.n_sites
+    nn = n * n
+    diag = slice(0, nn, n + 1)
+    t_max = (np.log(1.0 / dynamics.TRACE_TOL) / (2.0 * model.recomb_rate)
+             if model.recomb_rate > 0 else dynamics.FALLBACK_HORIZON)
+    a = dynamics._real_map(model, integrals=True)
+
+    def trace_event(t, y):
+        return y[diag].sum() - dynamics.TRACE_TOL
+
+    trace_event.terminal = True
+    trace_event.direction = -1
+    y0 = np.concatenate([(rho0.real + rho0.imag).ravel(), np.zeros(2)])
+    sol = solve_ivp(lambda t, y: a @ y, (0.0, t_max), y0, method="DOP853",
+                    rtol=dynamics.RTOL, atol=dynamics.ATOL, t_eval=[t_max],
+                    events=trace_event)
+    assert sol.status >= 0, sol.message
+    if sol.status == 1:
+        t_end, y_end = sol.t_events[0][-1], sol.y_events[0][-1]
+    else:
+        t_end, y_end = sol.t[-1], sol.y[:, -1]
+    return dynamics.EfficiencyResult(
+        eta=2.0 * model.trap_rate * y_end[nn],
+        eta_loss=2.0 * model.recomb_rate * y_end[nn + 1],
+        residual_trace=y_end[diag].sum(), method=dynamics.TIME_STEPPING,
+        horizon=float(t_end))
+
+
 def real_coordinates(n):
     """U with vec(rho) = U z for Hermitian rho, where z is the row-major
     vec of Z = Re rho + Im rho: column i n + j is vec(rho) for Z = E_ij."""

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import os
 import subprocess
@@ -19,12 +20,14 @@ from enaqt.dynamics import (TRACE_TOL, EfficiencyResult, IntegrationError,
 from enaqt.graph import build_binary_tree, build_custom, build_hypercube
 from enaqt.model import (LEAF_MIXTURE, SINGLE_SITE, TransportModel,
                          UNIFORM_MIXTURE, initial_state, sample_site_energies)
-from test_direct_solve import natural_map, reference_generator, reference_rhs
+from test_direct_solve import (natural_map, reference_generator, reference_rhs,
+                               reference_timestepping)
 
 DIMER = build_custom(2, [(0, 1)])
 CHAIN3 = build_custom(3, [(0, 1), (1, 2)])
 CHAIN4 = build_custom(4, [(0, 1), (1, 2), (2, 3)])
 TREE4 = build_binary_tree(4)
+TREE5 = build_binary_tree(5)
 
 
 def dimer_model(**kw):
@@ -314,11 +317,41 @@ def test_timestepping_keeps_no_trajectory():
     assert peak < 1e6
 
 
+def test_timestepping_leaves_no_state_sized_memory_behind():
+    # scipy's compiled DOP853 keeps a reference to its callbacks after each
+    # run; if they reached the map, the states and the integrator's work
+    # arrays, each tree g=5 solve would leave about 190 kB behind
+    rho0 = initial_state(TREE5, LEAF_MIXTURE)
+    m = TransportModel(topology=TREE5, site_energies=(0.0,) * 31, trap_site=0,
+                       trap_rate=1.0, recomb_rate=0.05, dephasing_rate=1.0)
+    efficiency_timestepping(rho0, m)
+    tracemalloc.start()
+    try:
+        efficiency_timestepping(rho0, m)
+        gc.collect()
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in range(5):
+            efficiency_timestepping(rho0, m)
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (after - before) / 5 < 20e3
+
+
 def test_timestepping_returns_the_state_where_the_trace_event_fired():
     m = dimer_model(trap_rate=1.0, recomb_rate=0.01, dephasing_rate=0.3)
     res = efficiency_timestepping(initial_state(DIMER, SINGLE_SITE, site=0), m)
     assert res.horizon < math.log(1.0 / TRACE_TOL) / (2.0 * m.recomb_rate)
     assert abs(res.residual_trace - TRACE_TOL) < 1e-12
+
+
+def test_timestepping_of_a_zero_state_runs_to_the_horizon():
+    # its trace starts below TRACE_TOL and never falls through it
+    m = dimer_model(trap_rate=1.0, recomb_rate=0.01, dephasing_rate=0.3)
+    res = efficiency_timestepping(np.zeros((2, 2), dtype=complex), m)
+    assert (res.eta, res.eta_loss, res.residual_trace) == (0.0, 0.0, 0.0)
+    assert res.horizon == pytest.approx(math.log(1.0 / TRACE_TOL) / (2.0 * m.recomb_rate))
 
 
 ORACLE_HARD_CASES = [
@@ -328,6 +361,11 @@ ORACLE_HARD_CASES = [
                  id="zeno-dimer"),
     pytest.param(build_binary_tree(3), 1.0, 1.0, 1e3, 0.0,
                  initial_state(build_binary_tree(3), LEAF_MIXTURE), id="zeno-tree3"),
+    # ten times deeper, where Hairer's stiffness test, left on, gives up
+    pytest.param(DIMER, 1.0, 1.0, 1e4, 0.0, initial_state(DIMER, SINGLE_SITE, site=1),
+                 id="stiff-dimer"),
+    pytest.param(build_binary_tree(3), 1.0, 1.0, 1e4, 0.0,
+                 initial_state(build_binary_tree(3), LEAF_MIXTURE), id="stiff-tree3"),
     # the dimer exceptional point kappa = 2V, where H_eff is defective
     *[pytest.param(DIMER, 2.0, gamma, gamma_phi, 0.0,
                    initial_state(DIMER, SINGLE_SITE, site=1),
@@ -342,19 +380,66 @@ ORACLE_HARD_CASES = [
 ]
 
 
+def hard_case_model(topology, kappa, gamma, gamma_phi, delta_eps):
+    energies = tuple(sample_site_energies(delta_eps, 0, 0, topology.n_sites))
+    return TransportModel(topology=topology, site_energies=energies, trap_site=0,
+                          trap_rate=kappa, recomb_rate=gamma, dephasing_rate=gamma_phi)
+
+
 @pytest.mark.parametrize("topology,kappa,gamma,gamma_phi,delta_eps,rho0",
                          ORACLE_HARD_CASES)
 def test_oracle_matches_the_direct_solve_in_hard_regimes(topology, kappa, gamma,
                                                          gamma_phi, delta_eps, rho0):
-    energies = tuple(sample_site_energies(delta_eps, 0, 0, topology.n_sites))
-    m = TransportModel(topology=topology, site_energies=energies, trap_site=0,
-                       trap_rate=kappa, recomb_rate=gamma, dephasing_rate=gamma_phi)
+    m = hard_case_model(topology, kappa, gamma, gamma_phi, delta_eps)
     stepped = efficiency_timestepping(rho0, m)
     direct = efficiency_liouvillian(rho0, m)
     assert abs(stepped.eta - direct.eta) < 1e-6
     assert abs(stepped.eta - direct.eta) < 1e-4 * direct.eta
     for res in (stepped, direct):
         assert abs(res.eta + res.eta_loss + res.residual_trace - 1.0) < 1e-9
+
+
+def tree5_oracle_cell(delta_eps, gamma_phi, draw):
+    # a cell of the oracle-tree5 benchmark at seed 1
+    energies = delta_eps * np.random.default_rng([1, draw]).standard_normal(31)
+    return TransportModel(topology=TREE5, site_energies=tuple(energies), trap_site=0,
+                          trap_rate=1.0, recomb_rate=0.01, dephasing_rate=gamma_phi)
+
+
+def lossless_dimer(gamma_phi):
+    return TransportModel(topology=DIMER, site_energies=(0.0, 0.5), trap_site=0,
+                          trap_rate=1.0, recomb_rate=0.0, dephasing_rate=gamma_phi)
+
+
+REFERENCE_CASES = [
+    # the oracle-tree5 cells of draws 0-3; the ordered ones repeat in each draw
+    *[pytest.param(initial_state(TREE5, LEAF_MIXTURE), tree5_oracle_cell(0.0, g, 0),
+                   id=f"tree5-ordered-dephasing{g:g}") for g in (0.01, 1.0)],
+    *[pytest.param(initial_state(TREE5, LEAF_MIXTURE), tree5_oracle_cell(1.0, g, k),
+                   id=f"tree5-draw{k}-dephasing{g:g}") for k in range(4) for g in (0.01, 1.0)],
+    *[pytest.param(case.values[-1], hard_case_model(*case.values[:-1]), id=case.id)
+      for case in ORACLE_HARD_CASES if case.id.startswith(("zeno-", "ep-"))],
+    # Gamma = 0: the fallback horizon, which trapping empties the dimer before
+    *[pytest.param(initial_state(DIMER, SINGLE_SITE, site=1), lossless_dimer(g),
+                   id=f"lossless-dimer-dephasing{g:g}") for g in (0.0, 0.3)],
+]
+
+
+@pytest.mark.parametrize("rho0,m", REFERENCE_CASES)
+def test_compiled_stepper_matches_the_solve_ivp_reference(rho0, m):
+    got, want = efficiency_timestepping(rho0, m), reference_timestepping(rho0, m)
+    assert abs(got.eta - want.eta) < 1e-9
+    assert abs(got.eta_loss - want.eta_loss) < 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+def test_compiled_stepper_raises_integration_error_at_the_step_cap(monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 5)
+    m = dimer_model(trap_rate=1.0, recomb_rate=0.01, dephasing_rate=0.3)
+    with pytest.raises(IntegrationError) as info:
+        efficiency_timestepping(initial_state(DIMER, SINGLE_SITE, site=0), m)
+    t_max = math.log(1.0 / TRACE_TOL) / (2.0 * m.recomb_rate)
+    assert 0 < info.value.time_reached < t_max
 
 
 def test_liouvillian_requires_positive_recombination():
@@ -378,18 +463,14 @@ def test_timestepping_without_recombination_reports_horizon():
 def test_timestepping_without_recombination_stops_on_the_trace(gamma_phi):
     # Gamma = 0 selects the fallback horizon; trapping empties the dimer
     # long before it, and the direct solve at Gamma -> 0 gives the same eta
-    def model(recomb_rate):
-        return TransportModel(topology=DIMER, site_energies=(0.0, 0.5),
-                              trap_site=0, trap_rate=1.0,
-                              recomb_rate=recomb_rate, dephasing_rate=gamma_phi)
-
     rho0 = initial_state(DIMER, SINGLE_SITE, site=1)
-    res = efficiency_timestepping(rho0, model(0.0))
+    res = efficiency_timestepping(rho0, lossless_dimer(gamma_phi))
     assert res.eta_loss == 0.0
     assert abs(res.eta + res.eta_loss + res.residual_trace - 1.0) < 1e-12
     assert res.residual_trace == pytest.approx(TRACE_TOL)  # the trace event
     assert res.horizon < dynamics.FALLBACK_HORIZON / 100
-    assert abs(res.eta - efficiency_liouvillian(rho0, model(1e-9)).eta) < 1e-6
+    nearly = dataclasses.replace(lossless_dimer(gamma_phi), recomb_rate=1e-9)
+    assert abs(res.eta - efficiency_liouvillian(rho0, nearly).eta) < 1e-6
 
 
 def test_global_energy_shift_leaves_efficiency_unchanged():
@@ -557,10 +638,8 @@ def test_compute_efficiency_runs_blas_on_one_thread_and_restores_the_caller():
 @pytest.mark.parametrize("solve,inner,raising", [
     (efficiency_liouvillian, "_factor",
      lambda rho0, m: efficiency_liouvillian(
-         rho0, dataclasses.replace(m, recomb_rate=0.0))),
-    (efficiency_timestepping, "_integrate",
-     lambda rho0, m: efficiency_timestepping(rho0, m, t_max=-1.0))],
-    ids=["liouvillian", "timestepping"])
+         rho0, dataclasses.replace(m, recomb_rate=0.0)))],
+    ids=["liouvillian"])
 def test_direct_solver_call_runs_blas_on_one_thread_and_restores_the_caller(
         solve, inner, raising, monkeypatch):
     caller = openblas_threads()
@@ -591,6 +670,29 @@ def test_direct_solver_call_runs_blas_on_one_thread_and_restores_the_caller(
         assert openblas_threads() == two
     finally:
         set_openblas_threads(caller)
+
+
+def test_stepped_eta_keeps_its_bits_on_one_and_two_blas_threads():
+    # time stepping runs unpinned: its products are sparse and DOP853's
+    # stage sums are compiled loops, so no BLAS call reaches eta
+    caller = openblas_threads()
+    if not caller:
+        pytest.skip("no OpenBLAS library found in this process")
+    hyper5 = build_hypercube(5)
+    energies = np.random.default_rng(1).normal(0.0, 1.4, 32)
+    m = TransportModel(topology=hyper5, site_energies=tuple(energies),
+                       trap_site=0, trap_rate=1.0, recomb_rate=0.01,
+                       dephasing_rate=1.0)
+    rho0 = initial_state(hyper5, UNIFORM_MIXTURE)
+    etas = []
+    try:
+        for n in (2, 1):
+            set_openblas_threads([n] * len(caller))
+            etas.append(efficiency_timestepping(rho0, m).eta)
+            assert openblas_threads() == [n] * len(caller)
+    finally:
+        set_openblas_threads(caller)
+    assert etas[0] == etas[1]
 
 
 # --- trap observables ---
