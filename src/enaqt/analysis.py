@@ -4,19 +4,17 @@ Eigenvectors of the system Hamiltonian with no overlap on the trap site can
 never feed population into the trap; the weight of the initial state inside
 that subspace is permanently untrappable, which bounds the efficiency from
 above. Within a degenerate eigenspace the basis is rotated so that exactly
-one vector carries all of the trap overlap and the rest join the subspace.
+one vector carries all of the trap overlap and the rest join the subspace
+(``model.trap_eigenbasis``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .ensemble import SweepTable
-
-DEGENERACY_TOL = 1e-8   # relative gap below which eigenvalues cluster
-OVERLAP_TOL = 1e-9      # trap-overlap norm treated as zero
+from .model import trap_eigenbasis
 
 
 @dataclass(eq=False)
@@ -36,33 +34,11 @@ class InvariantSubspace:
 
 
 def invariant_subspace(h_system: np.ndarray, trap_site: int) -> InvariantSubspace:
-    """Construct the subspace of eigenvectors decoupled from the trap.
-
-    Eigenvalues are grouped into clusters when consecutive gaps fall below
-    DEGENERACY_TOL * ||H||; ordered lattices have exact degeneracies while
-    disordered ones have none, and the tolerance separates the two regimes.
-    Within a cluster the basis is the orthonormal null space of the
-    cluster's trap row: the combinations with no amplitude on the trap.
-    """
-    h = np.asarray(h_system)
-    if np.abs(h - h.conj().T).max() > 1e-10:
-        raise ValueError("system Hamiltonian must be Hermitian")
-    n = h.shape[0]
-    if not 0 <= trap_site < n:
-        raise ValueError(f"trap site {trap_site} out of range")
-    evals, evecs = np.linalg.eigh(h)
-    scale = max(float(np.abs(evals).max()), 1.0)
-    cuts = np.flatnonzero(np.diff(evals) >= DEGENERACY_TOL * scale) + 1
-    columns = []
-    clusters = []
-    for energies, block in zip(np.split(evals, cuts), np.split(evecs, cuts, axis=1)):
-        overlap = float(np.linalg.norm(block[trap_site]))
-        clusters.append((float(energies.mean()), len(energies), overlap))
-        if overlap < OVERLAP_TOL:
-            columns.append(block)
-        else:
-            columns.append(block @ null_space(block[trap_site][None, :]))
-    return InvariantSubspace(basis=np.hstack(columns), clusters=tuple(clusters))
+    """The subspace of eigenvectors decoupled from the trap: the dark
+    columns of ``model.trap_eigenbasis``, with its cluster records."""
+    _, basis, dark, clusters = trap_eigenbasis(h_system, trap_site)
+    return InvariantSubspace(basis=np.ascontiguousarray(basis[:, dark]),
+                             clusters=clusters)
 
 
 def efficiency_upper_bound(subspace: InvariantSubspace, rho0: np.ndarray) -> float:

@@ -223,7 +223,6 @@ def _cmd_trajectory(args, parser) -> int:
         parser.error("--t-final must be finite and > 0")
     if args.full_state and args.realizations != 1:
         parser.error("--full-state requires --realizations 1")
-    times = np.linspace(0.0, args.t_final, args.points)
     trap = grid.trap_site
     nbrs = graph.neighbors(grid.topology, trap)[:2]
     if args.pure:
@@ -237,7 +236,7 @@ def _cmd_trajectory(args, parser) -> int:
         mdl = grid.model(args.disorder, args.dephasing, args.realization)
         psi0 = np.zeros(grid.topology.n_sites, dtype=complex)
         psi0[grid.initial_site] = 1.0
-        traj = dynamics.propagate_pure(psi0, mdl, args.t_final, times=times)
+        traj = dynamics.propagate_pure(psi0, mdl, args.t_final, args.points)
         header, columns = PURE_CSV_HEADER, _trap_columns(traj, trap, nbrs)
     else:
         rho0 = grid.initial_state()
@@ -248,10 +247,10 @@ def _cmd_trajectory(args, parser) -> int:
             # ensemble averages run draws 0..n-1; a single run honors --realization
             mdl = grid.model(args.disorder, args.dephasing,
                              r if n_real > 1 else args.realization)
-            traj = dynamics.propagate(rho0, mdl, args.t_final, times=times)
+            traj = dynamics.propagate(rho0, mdl, args.t_final, args.points)
             columns = columns + _trap_columns(traj, trap, nbrs)
         header, columns = TRAJECTORY_CSV_HEADER, columns / n_real
-    _write_csv(args.output, header, zip(times, *columns))
+    _write_csv(args.output, header, zip(traj.times, *columns))
     if args.full_state:  # one draw: --full-state requires --realizations 1
         _dump_full_state(args.full_state, traj)
     return 0

@@ -214,19 +214,13 @@ def _check_horizon(t_final: float) -> None:
         raise ValueError(f"t_final must be finite and > 0, got {t_final}")
 
 
-def _integrate(rhs, t_final: float, y0: np.ndarray, n_points: int | None = None,
-               times: np.ndarray | None = None):
-    """DOP853 at RTOL/ATOL from 0 to t_final; IntegrationError if it fails.
-
-    The solution is sampled on ``times``, on n_points even steps from 0 to
-    t_final, or, with neither, at t_final alone. The horizon is checked
-    before the grid is built, so a bad one never reaches numpy. An event
+def _integrate(rhs, t_final: float, y0: np.ndarray, n_points: int):
+    """DOP853 at RTOL/ATOL from 0 to t_final, sampled at n_points even steps
+    from 0 to t_final; IntegrationError if it fails. The horizon is checked
+    before the grid is built, so a bad one never reaches numpy, and an event
     that never fires records the last accepted time for IntegrationError,
-    as ``sol.t`` holds only the grid points reached.
-    """
+    as ``sol.t`` holds only the grid points reached."""
     _check_horizon(t_final)
-    if times is None:
-        times = [t_final] if n_points is None else np.linspace(0.0, t_final, n_points)
     from scipy.integrate import solve_ivp  # only time stepping needs it
     t_reached = 0.0
 
@@ -236,7 +230,7 @@ def _integrate(rhs, t_final: float, y0: np.ndarray, n_points: int | None = None,
         return 1.0
 
     sol = solve_ivp(rhs, (0.0, t_final), y0, method="DOP853", rtol=RTOL,
-                    atol=ATOL, t_eval=np.asarray(times, dtype=float),
+                    atol=ATOL, t_eval=np.linspace(0.0, t_final, n_points),
                     events=clock)
     if sol.status < 0:
         raise IntegrationError(f"integration failed: {sol.message}", t_reached)
@@ -244,7 +238,7 @@ def _integrate(rhs, t_final: float, y0: np.ndarray, n_points: int | None = None,
 
 
 def propagate(rho0: np.ndarray, model: TransportModel, t_final: float,
-              n_points: int = 2000, times: np.ndarray | None = None) -> Trajectory:
+              n_points: int = 2000) -> Trajectory:
     """Integrate the master equation and record states on an output grid.
 
     Adaptive Dormand-Prince pair of order 8(5,3) (DOP853) on the N^2 real
@@ -254,12 +248,12 @@ def propagate(rho0: np.ndarray, model: TransportModel, t_final: float,
     check_density_matrix(rho0)
     a = _real_map(model)
     sol = _integrate(lambda t, z: a @ z, t_final,
-                     _pack(np.asarray(rho0, dtype=complex)), n_points, times)
+                     _pack(np.asarray(rho0, dtype=complex)), n_points)
     return Trajectory(times=sol.t.copy(), states=_unpack(sol.y.T, model.n_sites))
 
 
 def propagate_pure(psi0: np.ndarray, model: TransportModel, t_final: float,
-                   n_points: int = 2000, times: np.ndarray | None = None) -> Trajectory:
+                   n_points: int = 2000) -> Trajectory:
     """Integrate d psi/dt = -i H psi for a pure amplitude vector.
 
     Only valid at zero dephasing: pure states do not stay pure under the
@@ -273,7 +267,7 @@ def propagate_pure(psi0: np.ndarray, model: TransportModel, t_final: float,
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
     h = assemble_effective_hamiltonian(model)
-    sol = _integrate(lambda t, y: -1j * (h @ y), t_final, psi0, n_points, times)
+    sol = _integrate(lambda t, y: -1j * (h @ y), t_final, psi0, n_points)
     return Trajectory(times=sol.t.copy(), states=sol.y.T.copy())
 
 
@@ -332,8 +326,7 @@ def _blas_on_one_thread():
             set_threads(n)
 
 
-def efficiency_timestepping(rho0: np.ndarray, model: TransportModel,
-                            t_max: float | None = None) -> EfficiencyResult:
+def efficiency_timestepping(rho0: np.ndarray, model: TransportModel) -> EfficiencyResult:
     """Transport efficiency by adaptive integration of the master equation.
 
     The running integrals of the trap population and of the trace are
@@ -353,12 +346,9 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel,
     """
     check_density_matrix(rho0)
     n = model.n_sites
-    if t_max is None:
-        if model.recomb_rate > 0:
-            t_max = math.log(1.0 / TRACE_TOL) / (2.0 * model.recomb_rate)
-        else:
-            t_max = FALLBACK_HORIZON
-    _check_horizon(t_max)
+    t_max = (math.log(1.0 / TRACE_TOL) / (2.0 * model.recomb_rate)
+             if model.recomb_rate > 0 else FALLBACK_HORIZON)
+    _check_horizon(t_max)  # inf once a tiny Gamma overflows it
     from scipy.integrate import ode  # only time stepping needs it
     from scipy.optimize import brentq
 

@@ -12,12 +12,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import svd
 
 from .graph import BINARY_TREE, Topology, adjacency_matrix, leaves
 
 LEAF_MIXTURE = "leaves"
 UNIFORM_MIXTURE = "uniform"
 SINGLE_SITE = "site"
+
+DEGENERACY_TOL = 1e-8   # relative gap below which eigenvalues cluster; at
+                        # 1e-12, disorder of 1e-10 splits ordered clusters
+OVERLAP_TOL = 1e-9      # trap-overlap norm treated as zero
 
 
 def sample_site_energies(std_dev: float, master_seed: int,
@@ -155,6 +160,36 @@ def check_density_matrix(rho: np.ndarray) -> None:
     tr = np.trace(rho)
     if abs(tr.imag) > 1e-9 or not -1e-9 <= tr.real <= 1.0 + 1e-9:
         raise ValueError(f"trace {tr} outside [0, 1]")
-    lo = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
+    d = rho.diagonal()  # a diagonal rho, as every --init state, needs no eigvalsh
+    lo = (d.real.min() if np.count_nonzero(rho) == np.count_nonzero(d)
+          else np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
     if lo < -1e-9:
         raise ValueError(f"negative eigenvalue {lo:.2e}")
+
+
+def trap_eigenbasis(h_system: np.ndarray, trap_site: int):
+    """Eigenbasis of the Hermitian h_system adapted to the trap site.
+
+    Returns (energies, basis, dark, clusters): eigh's eigenpairs, with
+    each cluster that touches the trap rotated by the right-singular basis
+    of its trap row, so that its first column carries the whole overlap and
+    the rest, the row's null space, none; the mask of trap-free columns;
+    and (energy, multiplicity, trap_overlap_norm) per cluster. Clusters
+    split where gaps reach DEGENERACY_TOL * ||H||: exact degeneracies of
+    ordered lattices stay together, disordered levels stand alone."""
+    h = np.asarray(h_system)
+    check_hermitian(h)
+    n = h.shape[0]
+    if not 0 <= trap_site < n:
+        raise ValueError(f"trap site {trap_site} out of range")
+    energies, basis = np.linalg.eigh(h)
+    scale = max(float(np.abs(energies).max()), 1.0)
+    cuts = [0, *np.flatnonzero(np.diff(energies) >= DEGENERACY_TOL * scale) + 1, n]
+    clusters = []
+    for start, stop in zip(cuts, cuts[1:]):
+        row = basis[trap_site, start:stop]
+        overlap = float(np.linalg.norm(row))
+        clusters.append((float(energies[start:stop].mean()), int(stop - start), overlap))
+        if overlap >= OVERLAP_TOL:
+            basis[:, start:stop] = basis[:, start:stop] @ svd(row[None, :])[2].conj().T
+    return energies, basis, np.abs(basis[trap_site]) < OVERLAP_TOL, tuple(clusters)

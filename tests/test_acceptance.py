@@ -290,7 +290,7 @@ def test_criterion_7_property_suite():
     m = TransportModel(topology=dimer, site_energies=(0.0, 0.0), trap_site=0,
                        trap_rate=0.0, recomb_rate=0.0)
     traj = propagate(initial_state(dimer, SINGLE_SITE, site=0), m, np.pi / 2,
-                     times=np.array([0.0, np.pi / 4, np.pi / 2]))
+                     n_points=3)
     rabi_err = max(abs(traj.states[1, 0, 0].real - 0.5),
                    abs(traj.states[2, 0, 0].real))
     if rabi_err > 1e-6:

@@ -8,6 +8,7 @@ from enaqt.dynamics import efficiency_liouvillian
 from enaqt.graph import build_binary_tree, build_custom, build_hypercube
 from enaqt.model import (LEAF_MIXTURE, TransportModel, UNIFORM_MIXTURE,
                          assemble_system_hamiltonian, initial_state)
+from test_direct_solve import check_trap_eigenbasis
 
 TREE5 = build_binary_tree(5)
 HYPER4 = build_hypercube(4)
@@ -119,6 +120,7 @@ def test_bound_and_dimension_in_closed_form(topology, kind, bound, dimension):
     h = assemble_system_hamiltonian(topology, np.zeros(topology.n_sites))
     sub = invariant_subspace(h, 0)
     assert sub.dimension == dimension
+    assert check_trap_eigenbasis(h, 0).sum() == dimension
     assert abs(efficiency_upper_bound(sub, initial_state(topology, kind)) - bound) < 1e-12
 
 

@@ -160,6 +160,17 @@ def test_bound_tree(capsys):
     assert "cluster,energy,multiplicity,trap_overlap" in out
 
 
+def test_bound_keeps_the_ordered_clusters_under_tiny_disorder(capsys):
+    # disorder of 1e-10 splits the ordered tree's degenerate levels by
+    # gaps that DEGENERACY_TOL = 1e-8 still merges, so the bound stays the
+    # physical 1/16; at a tolerance of 1e-12 the clusters split, and the
+    # dimension and bound drop to 8 and 0.875
+    code, out, _ = run_cli(capsys, "bound", *TREE_ARGS, "--disorder", "1e-10")
+    assert code == 0
+    assert stdout_value(out, "dimension") == 26
+    assert abs(stdout_value(out, "bound") - 1 / 16) < 1e-12
+
+
 def test_bound_hypercube(capsys):
     code, out, _ = run_cli(capsys, "bound", "--graph", "hypercube",
                            "--dimension", "4", "--init", "uniform",

@@ -17,10 +17,10 @@ import scipy.sparse.linalg as spla
 from enaqt import analysis, dynamics
 from enaqt.dynamics import build_liouvillian, compute_efficiency, efficiency_liouvillian
 from enaqt.graph import build_binary_tree, build_custom, build_hypercube
-from enaqt.model import (LEAF_MIXTURE, UNIFORM_MIXTURE, TransportModel,
-                         assemble_effective_hamiltonian,
+from enaqt.model import (LEAF_MIXTURE, OVERLAP_TOL, UNIFORM_MIXTURE,
+                         TransportModel, assemble_effective_hamiltonian,
                          assemble_system_hamiltonian, initial_state,
-                         sample_site_energies)
+                         sample_site_energies, trap_eigenbasis)
 
 SRC = str(Path(dynamics.__file__).resolve().parents[1])
 
@@ -403,6 +403,28 @@ def subspace_of(m):
     return h, analysis.invariant_subspace(h, m.trap_site)
 
 
+def check_trap_eigenbasis(h, trap):
+    """Assert what ``trap_eigenbasis`` promises of (h, trap): a unitary
+    eigenbasis whose dark columns have no trap amplitude, where each
+    coupled cluster's first column carries the cluster's whole overlap."""
+    energies, basis, dark, clusters = trap_eigenbasis(h, trap)
+    n = h.shape[0]
+    assert np.abs(basis.conj().T @ basis - np.eye(n)).max() < 1e-12
+    assert np.abs(h @ basis - basis * energies).max() < 1e-10
+    assert np.abs(basis[trap, dark]).max(initial=0.0) < OVERLAP_TOL
+    start = 0
+    for _, multiplicity, overlap in clusters:
+        stop = start + multiplicity
+        if overlap >= OVERLAP_TOL:
+            assert abs(abs(basis[trap, start]) - overlap) < 1e-12
+            assert not dark[start] and dark[start + 1:stop].all()
+        else:
+            assert dark[start:stop].all()
+        start = stop
+    assert start == n
+    return dark
+
+
 def test_eta_stays_under_the_invariant_subspace_bound_at_zero_dephasing():
     bounds = []
     for m, rho0 in zero_dephasing_cases():
@@ -420,9 +442,9 @@ def test_invariant_subspace_is_an_orthonormal_trap_free_invariant_basis():
         assert np.abs(b.conj().T @ b - np.eye(sub.dimension)).max(initial=0.0) < 1e-12
         assert np.abs(b[m.trap_site]).max(initial=0.0) < 1e-12
         assert np.linalg.norm(h @ b - b @ (b.conj().T @ h @ b)) < 1e-10
-        coupled = sum(overlap >= analysis.OVERLAP_TOL
-                      for _, _, overlap in sub.clusters)
+        coupled = sum(overlap >= OVERLAP_TOL for _, _, overlap in sub.clusters)
         assert sub.dimension == m.n_sites - coupled
+        assert check_trap_eigenbasis(h, m.trap_site).sum() == sub.dimension
 
 
 def test_direct_solve_agrees_with_time_stepping_on_random_graphs():
@@ -435,3 +457,45 @@ def test_direct_solve_agrees_with_time_stepping_on_random_graphs():
         stepped = compute_efficiency(rho0, m, solver="timestepping")
         assert abs(direct.eta - stepped.eta) < 1e-6
         assert abs(direct.eta_loss - stepped.eta_loss) < 1e-6
+
+
+def refined_solve(rho0, m, steps=3):
+    """eta and eta_loss from SuperLU on the natural-order real map plus
+    ``steps`` steps of iterative refinement, each residual b - A z summed
+    in np.longdouble."""
+    a = dynamics._real_map(m).tocsc()
+    lu = spla.splu(a)
+    b = -(rho0.real + rho0.imag).ravel()
+    z = lu.solve(b)
+    coo = a.tocoo()
+    data = coo.data.astype(np.longdouble)
+    for _ in range(steps):
+        r = b.astype(np.longdouble)
+        np.subtract.at(r, coo.row, data * z[coo.col])
+        z = z + lu.solve(r.astype(float))
+    n = m.n_sites
+    return (2.0 * m.trap_rate * z[m.trap_site * (n + 1)],
+            2.0 * m.recomb_rate * z[::n + 1].sum())
+
+
+@pytest.mark.parametrize("topology, kind, gamma_phi", [
+    pytest.param(build_binary_tree(3), LEAF_MIXTURE, 1e4, id="tree3-1e4"),
+    pytest.param(build_binary_tree(5), LEAF_MIXTURE, 1e4, id="tree5-1e4"),
+    pytest.param(build_binary_tree(5), LEAF_MIXTURE, 1e5, id="tree5-1e5"),
+    pytest.param(build_binary_tree(6), LEAF_MIXTURE, 1e5, id="tree6-1e5"),
+    pytest.param(build_hypercube(4), UNIFORM_MIXTURE, 1e5, id="hypercube4-1e5"),
+])
+def test_direct_solve_resolves_a_tiny_eta_under_strong_dephasing(topology, kind, gamma_phi):
+    # eta falls to 3.7e-4, 1.3e-7, 1.6e-11, 3.1e-14 and 6.2e-2 here, far
+    # below the budget's scale; the direct solve must still give it to
+    # 1e-12 relative
+    n = topology.n_sites
+    m = TransportModel(topology=topology,
+                       site_energies=tuple(sample_site_energies(1.0, 0, 0, n)),
+                       trap_site=0, trap_rate=1.0, recomb_rate=0.01,
+                       dephasing_rate=gamma_phi)
+    rho0 = initial_state(topology, kind)
+    res = efficiency_liouvillian(rho0, m)
+    eta, eta_loss = refined_solve(rho0, m)
+    assert abs(res.eta - eta) <= 1e-12 * eta
+    assert abs(res.eta_loss - eta_loss) <= 1e-12 * eta_loss

@@ -110,7 +110,7 @@ def test_dimer_rabi_oscillation():
     # closed dimer from |0><0|: rho_00(t) = cos^2(V t)
     m = dimer_model()
     rho0 = initial_state(DIMER, SINGLE_SITE, site=0)
-    traj = propagate(rho0, m, np.pi / 2, times=np.array([0.0, np.pi / 4, np.pi / 2]))
+    traj = propagate(rho0, m, np.pi / 2, n_points=3)
     pops = traj.states[:, 0, 0].real
     assert abs(pops[1] - 0.5) < 1e-6
     assert abs(pops[2]) < 1e-6
@@ -134,7 +134,7 @@ def test_propagate_overdamped_dimer():
     # pure dephasing at damping rate 100: rho_01(t) = 0.5 exp(-100 t)
     m = dimer_model(dephasing_rate=200.0)
     rho0 = np.full((2, 2), 0.5, dtype=complex)
-    traj = propagate(rho0, m, 0.1, times=np.array([0.0, 0.1]))
+    traj = propagate(rho0, m, 0.1, n_points=2)
     off = traj.states[-1, 0, 1]
     assert abs(off) / 0.5 < 1e-4
     assert abs(off - 0.5 * np.exp(-10.0)) < 1e-9
@@ -158,9 +158,6 @@ def test_propagate_validates_inputs(monkeypatch):
             propagate(np.eye(2, dtype=complex) / 2, m, t_final)
         with pytest.raises(ValueError):
             propagate_pure(np.array([1.0 + 0j, 0.0]), m, t_final)
-        with pytest.raises(ValueError):
-            efficiency_timestepping(np.eye(2, dtype=complex) / 2, m,
-                                    t_max=t_final)
 
 
 def test_importing_the_package_leaves_scipy_integrate_unloaded():
@@ -177,10 +174,10 @@ def test_importing_the_package_leaves_scipy_integrate_unloaded():
 
 
 def test_integration_error_reports_the_last_accepted_time():
-    # y' = y^2 from y(0) = 1 blows up at t = 1; the default grid is t_final
-    # alone, which the failed run never reaches
+    # y' = y^2 from y(0) = 1 blows up at t = 1; the failed run never
+    # reaches the grid's last point, t_final
     with pytest.raises(IntegrationError) as info:
-        _integrate(lambda t, y: y ** 2, 2.0, np.array([1.0]))
+        _integrate(lambda t, y: y ** 2, 2.0, np.array([1.0]), n_points=2)
     assert abs(info.value.time_reached - 1.0) < 1e-6
 
 
@@ -214,9 +211,8 @@ def test_pure_matches_density_propagation():
                        trap_rate=1.0, recomb_rate=0.01)
     psi0 = np.zeros(7, dtype=complex)
     psi0[6] = 1.0
-    times = np.linspace(0.0, 10.0, 40)
-    pure = propagate_pure(psi0, m, 10.0, times=times)
-    dens = propagate(np.outer(psi0, psi0.conj()), m, 10.0, times=times)
+    pure = propagate_pure(psi0, m, 10.0, n_points=40)
+    dens = propagate(np.outer(psi0, psi0.conj()), m, 10.0, n_points=40)
     outers = np.einsum("ti,tj->tij", pure.states, pure.states.conj())
     assert np.abs(outers - dens.states).max() < 1e-6
 
@@ -448,15 +444,27 @@ def test_liouvillian_requires_positive_recombination():
                                dimer_model(trap_rate=1.0, recomb_rate=0.0))
 
 
-def test_timestepping_without_recombination_reports_horizon():
+def test_timestepping_without_recombination_reports_horizon(monkeypatch):
     # Gamma = 0: truncation at the fallback horizon, eta is a lower bound
+    monkeypatch.setattr(dynamics, "FALLBACK_HORIZON", 5.0)
     m = dimer_model(trap_rate=0.0, recomb_rate=0.0)
     rho0 = initial_state(DIMER, SINGLE_SITE, site=0)
-    res = efficiency_timestepping(rho0, m, t_max=5.0)
+    res = efficiency_timestepping(rho0, m)
     assert res.eta == 0.0
     assert res.eta_loss == 0.0
     assert abs(res.residual_trace - 1.0) < 1e-8
     assert res.horizon == 5.0
+
+
+def test_timestepping_rejects_a_horizon_that_overflows(monkeypatch):
+    # ln(1/TRACE_TOL) / (2 Gamma) is inf at Gamma = 1e-320; no step is taken
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the stepper ran with an infinite horizon")
+
+    monkeypatch.setattr("scipy.integrate.ode", unreachable)
+    m = dimer_model(trap_rate=1.0, recomb_rate=1e-320)
+    with pytest.raises(ValueError, match="t_final must be finite"):
+        efficiency_timestepping(initial_state(DIMER, SINGLE_SITE, site=0), m)
 
 
 @pytest.mark.parametrize("gamma_phi", [0.0, 0.3])

@@ -225,3 +225,15 @@ def test_check_density_matrix_rejects_invalid():
         check_density_matrix(np.eye(2, dtype=complex))  # trace 2
     with pytest.raises(ValueError, match="eigenvalue"):
         check_density_matrix(np.array([[0.6, 0.5], [0.5, 0.2]], dtype=complex))
+
+
+def test_check_density_matrix_reads_a_diagonal_rho_without_eigvalsh(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a diagonal rho")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+    for kind in (LEAF_MIXTURE, UNIFORM_MIXTURE):
+        check_density_matrix(initial_state(build_binary_tree(4), kind))
+    check_density_matrix(initial_state(build_hypercube(3), SINGLE_SITE, site=5))
+    with pytest.raises(ValueError, match="negative eigenvalue -2.00e-01"):
+        check_density_matrix(np.diag([1.2, -0.2]).astype(complex))
