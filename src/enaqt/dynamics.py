@@ -13,10 +13,11 @@ pure-dephasing increment D, which damps every coherence at
 is computed by two independent routes from one real form of the master
 equation, on the N^2 coordinates Z = Re rho + Im rho. Both take its map
 from one sparse entry list per graph: adaptive time stepping applies it
-as one natural-order sparse matrix, one product per stage, and the
-direct solve factors it, permuted, in a single sparse linear solve. Both
-report the loss bookkeeping eta_loss = 2 * Gamma * integral tr rho dt so
-that eta + eta_loss + residual_trace == 1 up to solver tolerance.
+as one natural-order sparse matrix, one product per stage by scipy's
+compiled CSR kernel, and the direct solve factors it, permuted, in a
+single sparse linear solve. Both report the loss bookkeeping
+eta_loss = 2 * Gamma * integral tr rho dt so that
+eta + eta_loss + residual_trace == 1 up to solver tolerance.
 
 Time stepping is the Dormand-Prince pair DOP853 in two drivers: the
 efficiency runs Hairer's compiled code (scipy's ``ode``), which calls
@@ -38,6 +39,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csr_matvec
 
 from .model import (TransportModel, assemble_effective_hamiltonian,
                     check_density_matrix, check_hermitian)
@@ -194,6 +196,22 @@ def _real_map(model: TransportModel, integrals: bool = False) -> sp.csr_matrix:
     return sp.csr_matrix((values, cols, indptr), shape=(size, size))
 
 
+def _product(a: sp.csr_matrix):
+    """f(t, y) = a @ y for a real vector y of a's width, written by the
+    compiled kernel that scipy 1.17.1's ``a @ y`` calls after its Python
+    dispatch, into the same fresh zeroed array, so the result keeps its
+    bits; fresh, as ``solve_ivp`` keeps the last one. On the tree g=5 map
+    a product took 5.6 us, against 9.0 us through ``@`` (best timeit runs)."""
+    m, k = a.shape
+    indptr, indices, data = a.indptr, a.indices, a.data
+
+    def f(t, y):
+        out = np.zeros(m)
+        csr_matvec(m, k, indptr, indices, data, y, out)
+        return out
+    return f
+
+
 def master_equation_rhs(rho: np.ndarray, model: TransportModel) -> np.ndarray:
     """Right-hand side of the master equation at state rho.
 
@@ -206,7 +224,7 @@ def master_equation_rhs(rho: np.ndarray, model: TransportModel) -> np.ndarray:
     if rho.shape != (n, n):
         raise ValueError(f"rho shape {rho.shape} does not match {n} sites")
     check_hermitian(rho)
-    return _unpack(_real_map(model) @ _pack(rho), n)
+    return _unpack(_product(_real_map(model))(0.0, _pack(rho)), n)
 
 
 def _check_horizon(t_final: float) -> None:
@@ -246,8 +264,7 @@ def propagate(rho0: np.ndarray, model: TransportModel, t_final: float,
     Hermitian.
     """
     check_density_matrix(rho0)
-    a = _real_map(model)
-    sol = _integrate(lambda t, z: a @ z, t_final,
+    sol = _integrate(_product(_real_map(model)), t_final,
                      _pack(np.asarray(rho0, dtype=complex)), n_points)
     return Trajectory(times=sol.t.copy(), states=_unpack(sol.y.T, model.n_sites))
 
@@ -338,7 +355,8 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel) -> Efficien
     used and the returned eta is a lower bound whenever residual_trace > 0.
 
     Hairer's compiled DOP853 (scipy's ``ode``) runs the step loop and calls
-    back for the sparse product and once per accepted step. After the first
+    back once per accepted step and once per stage, for the product that
+    ``_product`` hands straight to scipy's CSR kernel. After the first
     accepted step that ends below TRACE_TOL, the crossing is found on the
     cubic Hermite interpolant of that step, whose end derivatives are the
     exact A y; its weights sum to 1, so the interpolated state keeps the
@@ -352,10 +370,10 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel) -> Efficien
     from scipy.integrate import ode  # only time stepping needs it
     from scipy.optimize import brentq
 
-    a = _real_map(model, integrals=True)
+    f = _product(_real_map(model, integrals=True))
     nn = n * n
     diag = slice(0, nn, n + 1)  # the diagonal of Z is rho's
-    run = SimpleNamespace(a=a, steps=[])  # all that the callbacks reach
+    run = SimpleNamespace(f=f, steps=[])  # all that the callbacks reach
 
     def solout(t, y):
         # keep the last two accepted (t, y), from t = 0 on, and stop where
@@ -363,7 +381,7 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel) -> Efficien
         steps = run.steps = run.steps[-1:] + [(t, y.copy())]
         return -1 if y[diag].sum() < TRACE_TOL <= steps[0][1][diag].sum() else 0
 
-    solver = ode(lambda t, y: run.a @ y).set_integrator(
+    solver = ode(lambda t, y: run.f(t, y)).set_integrator(
         "dop853", rtol=RTOL, atol=ATOL, nsteps=MAX_STEPS)
     solver.set_solout(solout)
     solver.set_initial_value(
@@ -391,7 +409,7 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel) -> Efficien
     if code == 2:  # solout stopped it at the crossing
         (t0, y0), (t1, y1) = steps
         h = t1 - t0
-        f0, f1 = a @ y0, a @ y1
+        f0, f1 = f(t0, y0), f(t1, y1)
 
         def hermite(s):
             s2, s3 = s * s, s * s * s

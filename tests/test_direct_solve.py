@@ -196,6 +196,18 @@ def test_generator_matches_the_index_array_assembly(name, rates):
     assert_same_map(dynamics._real_map(m).toarray(), want)
 
 
+@pytest.mark.parametrize("name", GRAPHS)
+@pytest.mark.parametrize("integrals", [False, True])
+def test_the_stage_product_has_the_bits_of_the_sparse_product(name, integrals):
+    # the stepper calls scipy's private CSR kernel; a scipy whose kernel or
+    # whose ``@`` changes makes this fail rather than move eta unseen
+    rng = np.random.default_rng(len(name))
+    a = dynamics._real_map(random_model(GRAPHS[name], rng), integrals=integrals)
+    y = rng.standard_normal(a.shape[1])
+    got = dynamics._product(a)(0.0, y)
+    assert got.dtype == np.float64 and np.array_equal(got, a @ y)
+
+
 def test_models_in_sequence_on_one_graph_leave_no_stale_values():
     rng = np.random.default_rng(3)
     t = GRAPHS["tree3"]
@@ -406,8 +418,10 @@ def subspace_of(m):
 def check_trap_eigenbasis(h, trap):
     """Assert what ``trap_eigenbasis`` promises of (h, trap): a unitary
     eigenbasis whose dark columns have no trap amplitude, where each
-    coupled cluster's first column carries the cluster's whole overlap."""
+    coupled cluster's first column carries the cluster's whole overlap,
+    and a single level keeps eigh's column."""
     energies, basis, dark, clusters = trap_eigenbasis(h, trap)
+    eigh_basis = np.linalg.eigh(h)[1]
     n = h.shape[0]
     assert np.abs(basis.conj().T @ basis - np.eye(n)).max() < 1e-12
     assert np.abs(h @ basis - basis * energies).max() < 1e-10
@@ -415,6 +429,8 @@ def check_trap_eigenbasis(h, trap):
     start = 0
     for _, multiplicity, overlap in clusters:
         stop = start + multiplicity
+        if multiplicity == 1:
+            assert np.array_equal(basis[:, start], eigh_basis[:, start])
         if overlap >= OVERLAP_TOL:
             assert abs(abs(basis[trap, start]) - overlap) < 1e-12
             assert not dark[start] and dark[start + 1:stop].all()

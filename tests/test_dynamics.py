@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from enaqt import dynamics, ensemble
@@ -605,6 +606,27 @@ def test_time_stepping_never_builds_the_order(monkeypatch):
     rho0 = initial_state(t, SINGLE_SITE, site=4)
     res = efficiency_timestepping(rho0, m)
     assert abs(res.eta + res.eta_loss + res.residual_trace - 1.0) < 1e-9
+    propagate(rho0, m, 5.0, n_points=10)
+    master_equation_rhs(rho0, m)
+
+
+def test_time_stepping_never_calls_the_sparse_product(monkeypatch):
+    # every stage runs scipy's CSR kernel directly, without the Python
+    # dispatch of ``@``, which cost more than the kernel on tree g=5
+    def unreachable(*args, **kwargs):
+        raise AssertionError("scipy's sparse @ was called")
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", unreachable)
+    t = build_binary_tree(3)
+    m = TransportModel(topology=t, site_energies=tuple(sample_site_energies(1.0, 0, 0, 7)),
+                       trap_site=0, trap_rate=1.0, recomb_rate=0.05,
+                       dephasing_rate=0.2)
+    with pytest.raises(AssertionError):
+        dynamics._real_map(m) @ np.zeros(49)
+    rho0 = initial_state(t, LEAF_MIXTURE)
+    res = efficiency_timestepping(rho0, m)
+    # the trace crossing stopped it, so the Hermite end slopes were taken
+    assert res.horizon < math.log(1.0 / TRACE_TOL) / (2.0 * m.recomb_rate)
     propagate(rho0, m, 5.0, n_points=10)
     master_equation_rhs(rho0, m)
 
