@@ -212,6 +212,13 @@ def _product(a: sp.csr_matrix):
     return f
 
 
+def _check_size(rho: np.ndarray, n: int) -> None:
+    """ValueError unless rho is n x n, checked before a state reaches
+    ``_product``, whose kernel does not check the length of y."""
+    if np.shape(rho) != (n, n):
+        raise ValueError(f"rho shape {np.shape(rho)} does not match {n} sites")
+
+
 def master_equation_rhs(rho: np.ndarray, model: TransportModel) -> np.ndarray:
     """Right-hand side of the master equation at state rho.
 
@@ -221,8 +228,7 @@ def master_equation_rhs(rho: np.ndarray, model: TransportModel) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     n = model.n_sites
-    if rho.shape != (n, n):
-        raise ValueError(f"rho shape {rho.shape} does not match {n} sites")
+    _check_size(rho, n)
     check_hermitian(rho)
     return _unpack(_product(_real_map(model))(0.0, _pack(rho)), n)
 
@@ -264,6 +270,7 @@ def propagate(rho0: np.ndarray, model: TransportModel, t_final: float,
     Hermitian.
     """
     check_density_matrix(rho0)
+    _check_size(rho0, model.n_sites)
     sol = _integrate(_product(_real_map(model)), t_final,
                      _pack(np.asarray(rho0, dtype=complex)), n_points)
     return Trajectory(times=sol.t.copy(), states=_unpack(sol.y.T, model.n_sites))
@@ -364,6 +371,7 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel) -> Efficien
     """
     check_density_matrix(rho0)
     n = model.n_sites
+    _check_size(rho0, n)
     t_max = (math.log(1.0 / TRACE_TOL) / (2.0 * model.recomb_rate)
              if model.recomb_rate > 0 else FALLBACK_HORIZON)
     _check_horizon(t_max)  # inf once a tiny Gamma overflows it

@@ -190,7 +190,6 @@ def trap_eigenbasis(h_system: np.ndarray, trap_site: int):
         row = basis[trap_site, start:stop]
         overlap = float(np.linalg.norm(row))
         clusters.append((float(energies[start:stop].mean()), int(stop - start), overlap))
-        # svd gives a single entry the rotation Vh = [[1]]: skip it
-        if overlap >= OVERLAP_TOL and stop - start > 1:
+        if overlap >= OVERLAP_TOL:
             basis[:, start:stop] = basis[:, start:stop] @ svd(row[None, :])[2].conj().T
     return energies, basis, np.abs(basis[trap_site]) < OVERLAP_TOL, tuple(clusters)

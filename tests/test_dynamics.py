@@ -96,6 +96,19 @@ def test_rhs_rejects_wrong_shape():
         master_equation_rhs(np.zeros((3, 3)), dimer_model())
 
 
+@pytest.mark.parametrize("size", [2, 4])
+def test_time_stepping_rejects_a_state_of_another_size(size):
+    # the stage kernel reads y without checking its length, so a state of
+    # the wrong size must stop at entry
+    m = TransportModel(topology=CHAIN3, site_energies=(0.0, 0.0, 0.0), trap_site=2,
+                       trap_rate=1.0, recomb_rate=0.1, dephasing_rate=0.2)
+    rho0 = np.eye(size) / size
+    for stepper in (efficiency_timestepping, lambda r, m: propagate(r, m, 1.0, 5),
+                    lambda r, m: compute_efficiency(r, m, "timestepping")):
+        with pytest.raises(ValueError, match="does not match 3 sites"):
+            stepper(rho0, m)
+
+
 def test_rhs_rejects_a_non_hermitian_state():
     # the right-hand side forms rho H^dag as (H rho)^dag
     m = dimer_model(dephasing_rate=0.3, trap_rate=1.0, recomb_rate=0.01)
