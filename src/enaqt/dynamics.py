@@ -65,6 +65,33 @@ BACKWARD_ERROR_TOL = 1e-10
 PIVOT_THRESHOLD = 0.01
 PANEL_SIZE = 8
 RELAX = 2
+# A graph whose pair-pattern factor (see _plan) has more nonzeros than this
+# is factored in float32 and refined in float64 (see efficiency_liouvillian).
+# The pattern factor has 4,650 nonzeros on hypercube d=4, 7,808 on tree g=5,
+# 58,352 on hypercube d=5, 59,288 on tree g=6, 369,712 on tree g=7 and
+# 871,960 on hypercube d=6. Median ms per warm solve, float64 -> float32
+# (delta_eps = 1, gamma_phi = 0.1, Gamma = 0.01, one BLAS thread): hypercube
+# d=6 510 -> 276, tree g=8 480 -> 347, tree g=7 47 -> 41, hypercube d=5
+# 11.7 -> 8.9, tree g=6 8.0 -> 7.7 (8.5 -> 9-10 on other draws); forced
+# below it, hypercube d=4 0.83 -> 0.96 and tree g=5 1.50 -> 1.70, where the
+# corrections cost more than the cheaper factorization saves.
+MIXED_PRECISION_NNZ = 30_000
+# A float32 solve stops once a correction moves neither eta nor eta_loss by
+# more than REFINE_TOL of its value. On trees g=6/7 and hypercubes d=5/6 at
+# Gamma = 0.01 (delta_eps in {0, 1, 2.5}, gamma_phi in {0, 0.1, 1, 1e4}) that
+# took 3 or 4 corrections and left eta within 1.3e-14 relative of the float64
+# solve; at Gamma = 1e-6 and 1e-9 the converged solves took 2 to 7. Without
+# dephasing there, float32 factors are too coarse and no correction count
+# converges: after MAX_REFINEMENTS the float64 solve runs instead.
+REFINE_TOL = 1e-14
+MAX_REFINEMENTS = 10
+# Largest predicted size of the real factors: the pattern factor's nonzeros
+# times 4, as each pair of coordinates Z_ij, Z_ji stands for one node of the
+# pair pattern (2.7-4.0 times on trees g=5-7 and hypercubes d=4-6), times the
+# bytes of one value and its int32 row index (8 in float32, 12 in float64).
+# In float32 that is 28 MB on hypercube d=6, 66 MB on tree g=8 and 460 MB on
+# hypercube d=7, whose float64 solve peaked at 763 MB.
+MAX_FACTOR_MB = 1000.0
 
 
 class IntegrationError(RuntimeError):
@@ -454,6 +481,13 @@ def _plan(n: int, edges: tuple[tuple[int, int], ...]) -> SimpleNamespace:
     dominant diagonal and expanded so that each pair's two unknowns Z_ij
     and Z_ji are adjacent. It depends on the pattern alone, so every model
     on the graph shares it.
+
+    ``pair_factor_nnz``, the nonzeros of that pattern's factors, predicts
+    the size of the real factors: 7,808 on tree g=5 and 871,960 on
+    hypercube d=6, whose real factors hold 3.5 and 4.0 times as many. It
+    picks the precision of the direct solve (above MIXED_PRECISION_NNZ,
+    float32 factors refined in float64) and bounds the memory the factors
+    may take (MAX_FACTOR_MB).
     """
     entries = _entries(n, edges)
     rows, cols = entries.rows, entries.cols
@@ -464,7 +498,8 @@ def _plan(n: int, edges: tuple[tuple[int, int], ...]) -> SimpleNamespace:
     pattern = sp.csc_matrix(
         (np.where(pair[rows] == pair[cols], 4.0 * n, 1.0), (pair[rows], pair[cols])),
         shape=(n_pairs, n_pairs))
-    by_position = np.argsort(_factor(pattern, "MMD_AT_PLUS_A").perm_c)
+    factor = _factor(pattern, "MMD_AT_PLUS_A")
+    by_position = np.argsort(factor.perm_c)
     size = np.bincount(pair)
     start = np.empty(n_pairs, dtype=np.intp)
     start[by_position] = np.cumsum(size[by_position]) - size[by_position]
@@ -474,7 +509,8 @@ def _plan(n: int, edges: tuple[tuple[int, int], ...]) -> SimpleNamespace:
     keys = keys[order]
     return _read_only(
         perm=perm, order=order, indices=(keys % nn).astype(np.int32),
-        indptr=np.searchsorted(keys // nn, np.arange(nn + 1)).astype(np.int32))
+        indptr=np.searchsorted(keys // nn, np.arange(nn + 1)).astype(np.int32),
+        pair_factor_nnz=np.array(factor.nnz))
 
 
 def build_liouvillian(model: TransportModel) -> sp.csc_matrix:
@@ -485,6 +521,48 @@ def build_liouvillian(model: TransportModel) -> sp.csc_matrix:
     plan = _plan(n, model.topology.edges)
     return sp.csc_matrix((_values(model)[plan.order], plan.indices.copy(),
                           plan.indptr.copy()), shape=(n * n, n * n))
+
+
+def _check_factor_size(a: sp.csc_matrix, plan: SimpleNamespace) -> None:
+    """SolverError if the factors of a, predicted from the plan at a's
+    precision, would take more than MAX_FACTOR_MB."""
+    mb = 4 * plan.pair_factor_nnz * (a.dtype.itemsize + 4) / 1e6
+    if mb > MAX_FACTOR_MB:
+        raise SolverError(
+            f"the factors of the {math.isqrt(a.shape[0])}-site generator would "
+            f"take about {mb:.4g} MB, more than {MAX_FACTOR_MB:g} MB")
+
+
+def _refined(a: sp.csc_matrix, b: np.ndarray, solve, watched) -> np.ndarray | None:
+    """y with a y = b by iterative refinement on a's float64 residual: from
+    y = 0, y += solve(b - a y) until a correction moves no sum y[idx], idx
+    in ``watched``, by more than REFINE_TOL of its value. ``solve`` applies
+    an approximate inverse of a. None if a correction is not finite or the
+    first solve and MAX_REFINEMENTS corrections do not converge."""
+    y = np.zeros_like(b)
+    for _ in range(MAX_REFINEMENTS + 1):
+        d = solve(b - a @ y)
+        if not np.all(np.isfinite(d)):
+            return None
+        y = y + d
+        if all(abs(d[idx].sum()) <= REFINE_TOL * abs(y[idx].sum())
+               for idx in watched):
+            return y
+    return None
+
+
+def _mixed_precision_solve(a: sp.csc_matrix, b: np.ndarray, plan: SimpleNamespace,
+                           watched) -> np.ndarray | None:
+    """y with a y = b from float32 factors of a, ``_refined``; None where
+    they cannot be had or the refinement does not converge. The factors
+    are freed on return, before a float64 fallback factors a."""
+    single = a.astype(np.float32)
+    _check_factor_size(single, plan)
+    try:
+        lu = _factor(single, "NATURAL")
+    except RuntimeError:  # singular in float32
+        return None
+    return _refined(a, b, lambda r: lu.solve(r.astype(np.float32)), watched)
 
 
 @_blas_on_one_thread()
@@ -516,20 +594,43 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
     takes 12 to 16 times as long. A solve whose backward error
     ||A z - b||_1 / (||A||_1 ||z||_1 + ||b||_1) exceeds BACKWARD_ERROR_TOL
     raises SolverError instead of returning eta.
+
+    Precision. A graph whose pattern factor (``_plan``) has at most
+    MIXED_PRECISION_NNZ nonzeros, tree g=5 and hypercube d=4 among them, is
+    factored and solved in float64 as above. A larger one, from hypercube
+    d=5 and tree g=6 up, is factored in float32 at the same settings, and
+    its solution refined on the float64 A (``_refined``): from z = 0, each
+    step adds the float32 solve of the residual -_pack(rho0) - A z, until
+    a step moves neither eta nor eta_loss by more than REFINE_TOL of its
+    value. At Gamma = 0.01 that took 3 or 4 steps and moved eta by at most
+    1.3e-14 relative; a warm hypercube d=6 solve took 276 ms against
+    510 ms. If the float32 factorization fails, a value is not finite or
+    MAX_REFINEMENTS corrections do not converge (as without dephasing at
+    Gamma <= 1e-6), the float32 result is dropped and the float64 solve
+    runs, with its own bits. The backward-error guard checks both routes.
+    Before either factorization, a solve whose factors are predicted to
+    take more than MAX_FACTOR_MB raises SolverError.
     """
     if model.recomb_rate <= 0:
         raise ValueError("direct solve requires recomb_rate > 0 "
                          "(guarantees an invertible generator)")
     check_density_matrix(rho0)
     n = model.n_sites
+    _check_size(rho0, n)
     plan = _plan(n, model.topology.edges)
     a = build_liouvillian(model)
     b = np.empty(n * n)
     b[plan.perm] = -_pack(np.asarray(rho0, dtype=complex))
-    try:
-        y = _factor(a, "NATURAL").solve(b)
-    except RuntimeError as exc:  # singular factorization
-        raise SolverError(f"generator factorization failed: {exc}") from exc
+    y = None
+    if plan.pair_factor_nnz > MIXED_PRECISION_NNZ:
+        watched = (plan.perm[[model.trap_site * (n + 1)]], plan.perm[::n + 1])
+        y = _mixed_precision_solve(a, b, plan, watched)
+    if y is None:
+        _check_factor_size(a, plan)
+        try:
+            y = _factor(a, "NATURAL").solve(b)
+        except RuntimeError as exc:  # singular factorization
+            raise SolverError(f"generator factorization failed: {exc}") from exc
     if not np.all(np.isfinite(y)):
         raise SolverError("generator solve produced non-finite values")
     # ||A||_1 is the largest column sum; no column of A is empty, as each

@@ -511,3 +511,110 @@ def test_direct_solve_resolves_a_tiny_eta_under_strong_dephasing(topology, kind,
     eta, eta_loss = refined_solve(rho0, m)
     assert abs(res.eta - eta) <= 1e-12 * eta
     assert abs(res.eta_loss - eta_loss) <= 1e-12 * eta_loss
+
+
+# --- float32 factors refined in float64, above MIXED_PRECISION_NNZ ---
+
+def in_float64(rho0, m, monkeypatch):
+    """The float64 solve, with no graph above the precision threshold."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "MIXED_PRECISION_NNZ", 10**12)
+        return efficiency_liouvillian(rho0, m)
+
+
+def same_bits(got, want):
+    return (got.eta.hex(), got.eta_loss.hex()) == (want.eta.hex(), want.eta_loss.hex())
+
+
+def factor_dtypes(monkeypatch):
+    """The dtypes of the matrices spla.splu factors from now on."""
+    seen, splu = [], spla.splu
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return seen
+
+
+def model_on(topology, delta_eps, gamma_phi, gamma=0.01):
+    n = topology.n_sites
+    return TransportModel(topology=topology, trap_site=0, trap_rate=1.0,
+                          site_energies=tuple(sample_site_energies(delta_eps, 0, 0, n)),
+                          recomb_rate=gamma, dephasing_rate=gamma_phi)
+
+
+@pytest.mark.parametrize("topology,kind,dtype", [
+    (build_binary_tree(5), LEAF_MIXTURE, np.float64),
+    (build_hypercube(4), UNIFORM_MIXTURE, np.float64),
+    (build_hypercube(6), UNIFORM_MIXTURE, np.float32)],
+    ids=["tree5", "hypercube4", "hypercube6"])
+def test_the_threshold_picks_the_factor_precision(topology, kind, dtype, monkeypatch):
+    m = model_on(topology, 1.0, 0.1)
+    rho0 = initial_state(topology, kind)
+    efficiency_liouvillian(rho0, m)  # the plan, its pattern factored in float64
+    seen = factor_dtypes(monkeypatch)
+    efficiency_liouvillian(rho0, m)
+    assert seen == [dtype]
+
+
+@pytest.mark.parametrize("topology,kind", [
+    (build_hypercube(5), UNIFORM_MIXTURE), (build_binary_tree(6), LEAF_MIXTURE),
+    (build_binary_tree(7), LEAF_MIXTURE), (build_hypercube(6), UNIFORM_MIXTURE)],
+    ids=["hypercube5", "tree6", "tree7", "hypercube6"])
+def test_float32_factors_refined_agree_with_the_float64_solve(topology, kind, monkeypatch):
+    n = topology.n_sites
+    assert dynamics._plan(n, topology.edges).pair_factor_nnz > dynamics.MIXED_PRECISION_NNZ
+    rho0 = initial_state(topology, kind)
+    for delta_eps, gamma_phi in itertools.product((0.0, 1.0, 2.5), (0.0, 0.1, 1.0, 1e4)):
+        m = model_on(topology, delta_eps, gamma_phi)
+        got, want = efficiency_liouvillian(rho0, m), in_float64(rho0, m, monkeypatch)
+        assert abs(got.eta - want.eta) <= 1e-13 * want.eta
+        assert abs(got.eta_loss - want.eta_loss) <= 1e-13 * want.eta_loss
+
+
+def test_a_failed_float32_solve_falls_back_to_the_float64_bits(monkeypatch):
+    hyper5 = build_hypercube(5)
+    rho0 = initial_state(hyper5, UNIFORM_MIXTURE)
+    m = model_on(hyper5, 1.0, 0.1)
+    want = in_float64(rho0, m, monkeypatch)
+    assert not same_bits(efficiency_liouvillian(rho0, m), want)
+    factor = dynamics._factor
+
+    def singular_in_float32(a, order):
+        if a.dtype == np.float32:
+            raise RuntimeError("Factor is exactly singular")
+        return factor(a, order)
+
+    for name, failing in (("_refined", lambda *args: None),
+                          ("_factor", singular_in_float32)):
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, name, failing)
+            assert same_bits(efficiency_liouvillian(rho0, m), want)
+    # a natural failure: without dephasing and at Gamma = 1e-6 the float32
+    # corrections do not converge
+    m = model_on(hyper5, 0.5, 0.0, gamma=1e-6)
+    want = in_float64(rho0, m, monkeypatch)
+    seen = factor_dtypes(monkeypatch)
+    assert same_bits(efficiency_liouvillian(rho0, m), want)
+    assert seen == [np.float32, np.float64]
+
+
+def test_factors_predicted_too_large_raise_before_the_factorization(monkeypatch):
+    tree3 = build_binary_tree(3)
+    m = model_on(tree3, 1.0, 0.1)
+    rho0 = initial_state(tree3, LEAF_MIXTURE)
+    efficiency_liouvillian(rho0, m)  # the plan
+    seen = factor_dtypes(monkeypatch)
+    monkeypatch.setattr(dynamics, "MAX_FACTOR_MB", 1e-3)
+    with pytest.raises(dynamics.SolverError, match="7-site generator would take about .* MB"):
+        efficiency_liouvillian(rho0, m)
+    assert seen == []
+    # hypercube d=6 predicts 27.9 MB of float32 factors, 41.9 MB in float64
+    monkeypatch.undo()
+    hyper6 = build_hypercube(6)
+    a = build_liouvillian(model_on(hyper6, 1.0, 0.1))
+    plan = dynamics._plan(hyper6.n_sites, hyper6.edges)
+    dynamics._check_factor_size(a, plan)
+    dynamics._check_factor_size(a.astype(np.float32), plan)

@@ -104,7 +104,9 @@ def test_time_stepping_rejects_a_state_of_another_size(size):
                        trap_rate=1.0, recomb_rate=0.1, dephasing_rate=0.2)
     rho0 = np.eye(size) / size
     for stepper in (efficiency_timestepping, lambda r, m: propagate(r, m, 1.0, 5),
-                    lambda r, m: compute_efficiency(r, m, "timestepping")):
+                    lambda r, m: compute_efficiency(r, m, "timestepping"),
+                    efficiency_liouvillian,
+                    lambda r, m: compute_efficiency(r, m, "liouvillian")):
         with pytest.raises(ValueError, match="does not match 3 sites"):
             stepper(rho0, m)
 
@@ -562,21 +564,32 @@ def test_direct_solve_rejects_a_large_backward_error(monkeypatch):
     splu = spla.splu
 
     class Perturbed:
-        def __init__(self, lu):
-            self.lu = lu
+        def __init__(self, lu, factor):
+            self.lu, self.factor = lu, factor
 
         def solve(self, b):
-            return self.lu.solve(b) * (1 + 1e-6)
+            return self.lu.solve(b) * self.factor
 
-    monkeypatch.setattr(spla, "splu", lambda *a, **kw: Perturbed(splu(*a, **kw)))
-    m = dimer_model(trap_rate=1.0, recomb_rate=0.01, dephasing_rate=0.3)
-    with pytest.raises(SolverError, match="backward error"):
-        efficiency_liouvillian(initial_state(DIMER, SINGLE_SITE, site=0), m)
+    # above MIXED_PRECISION_NNZ no refinement repairs a solve scaled by 3,
+    # so the float64 solve runs, scaled as well
+    cases = ((DIMER, 1 + 1e-6), (build_hypercube(5), 3.0))
+    for topology, _ in cases:
+        # the plan's pattern factor is read for its order, not solved with
+        dynamics._plan(topology.n_sites, topology.edges)
+    for topology, factor in cases:
+        monkeypatch.setattr(spla, "splu",
+                            lambda *a, **kw: Perturbed(splu(*a, **kw), factor))
+        m = TransportModel(topology=topology, site_energies=(0.0,) * topology.n_sites,
+                           trap_site=0, trap_rate=1.0, recomb_rate=0.01,
+                           dephasing_rate=0.3)
+        with pytest.raises(SolverError, match="backward error"):
+            efficiency_liouvillian(initial_state(topology, SINGLE_SITE, site=1), m)
 
 
 def test_direct_solve_builds_one_generator_and_one_factor(monkeypatch):
-    # the benchmark traces these two calls inside every direct solve; a
-    # graph's first solve also factors its pattern once, for the order
+    # the benchmark traces these two calls inside every direct solve, in
+    # float64 and in float32 alike; a graph's first solve also factors its
+    # pattern once, for the order
     calls = []
     build, splu = dynamics.build_liouvillian, spla.splu
 
@@ -588,19 +601,21 @@ def test_direct_solve_builds_one_generator_and_one_factor(monkeypatch):
 
     monkeypatch.setattr(dynamics, "build_liouvillian", spy("generator", build))
     monkeypatch.setattr(spla, "splu", spy("splu", splu))
-    dynamics._plan.cache_clear()
-    t = build_binary_tree(3)
-    grid = ensemble.SweepGrid(topology=t, disorder_values=(0.5,),
-                              dephasing_values=(0.1,), n_realizations=1,
-                              initial_kind=LEAF_MIXTURE)
-    ensemble.run_point(grid, 0.5, 0.1, 0)
-    assert calls == ["splu", "generator", "splu"]
-    calls.clear()
-    ensemble.run_point(grid, 0.5, 0.1, 0)
-    assert calls == ["generator", "splu"]
-    calls.clear()
-    efficiency_liouvillian(grid.initial_state(), grid.model(0.5, 0.1, 0))
-    assert calls == ["generator", "splu"]
+    for t, kind in ((build_binary_tree(3), LEAF_MIXTURE),
+                    (build_hypercube(5), UNIFORM_MIXTURE)):
+        dynamics._plan.cache_clear()
+        grid = ensemble.SweepGrid(topology=t, disorder_values=(0.5,),
+                                  dephasing_values=(0.1,), n_realizations=1,
+                                  initial_kind=kind)
+        calls.clear()
+        ensemble.run_point(grid, 0.5, 0.1, 0)
+        assert calls == ["splu", "generator", "splu"]
+        calls.clear()
+        ensemble.run_point(grid, 0.5, 0.1, 0)
+        assert calls == ["generator", "splu"]
+        calls.clear()
+        efficiency_liouvillian(grid.initial_state(), grid.model(0.5, 0.1, 0))
+        assert calls == ["generator", "splu"]
 
 
 def test_time_stepping_never_builds_the_order(monkeypatch):
