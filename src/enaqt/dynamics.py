@@ -76,7 +76,17 @@ RELAX = 2
 # below it, hypercube d=4 0.83 -> 0.96 and tree g=5 1.50 -> 1.70, where the
 # corrections cost more than the cheaper factorization saves.
 MIXED_PRECISION_NNZ = 30_000
-# A float32 solve stops once a correction moves neither eta nor eta_loss by
+# The split of a dense tail off the direct solve (see _plan). In columns
+# past the last one below DENSE_DENSITY, hypercube d=6 has 1,830 unknowns,
+# hypercube d=5 450, tree g=6 230, tree g=7 492 and tree g=8 1,076. Forced
+# onto the route, warm solves (delta_eps = 1, gamma_phi = 0.1,
+# Gamma = 0.01) took 1.6 times as long as in float32 on hypercube d=5
+# (14.7 ms) and 2.7-2.8 times on trees g=6-8 (22.9, 114 and 1,009 ms),
+# whose tails are sparser.
+TAIL_DENSITY = 0.1
+DENSE_DENSITY = 0.5
+MIN_DENSE_TAIL = 1500
+# A refined solve stops once a correction moves neither eta nor eta_loss by
 # more than REFINE_TOL of its value. On trees g=6/7 and hypercubes d=5/6 at
 # Gamma = 0.01 (delta_eps in {0, 1, 2.5}, gamma_phi in {0, 0.1, 1, 1e4}) that
 # took 3 or 4 corrections and left eta within 1.3e-14 relative of the float64
@@ -90,7 +100,11 @@ MAX_REFINEMENTS = 10
 # pair pattern (2.7-4.0 times on trees g=5-7 and hypercubes d=4-6), times the
 # bytes of one value and its int32 row index (8 in float32, 12 in float64).
 # In float32 that is 28 MB on hypercube d=6, 66 MB on tree g=8 and 460 MB on
-# hypercube d=7, whose float64 solve peaked at 763 MB.
+# hypercube d=7, whose float64 solve peaked at 763 MB. The dense-tail route
+# predicts the same count over the head's columns, which its two bordered
+# factors hold about 4 times (131,768 against 130,958 on hypercube d=6),
+# plus 8 k^2 bytes of a float64 tail of k unknowns: 32 MB on hypercube d=6
+# and 481 MB on hypercube d=7, whose 7,682-unknown tail was never factored.
 MAX_FACTOR_MB = 1000.0
 
 
@@ -460,10 +474,10 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel) -> Efficien
                             method=TIME_STEPPING, horizon=float(t_end))
 
 
-def _factor(matrix: sp.csc_matrix, order: str):
-    """SuperLU in symmetric mode, in column order ``order``, at the fixed
-    pivot threshold and supernode sizes."""
-    return spla.splu(matrix, permc_spec=order, diag_pivot_thresh=PIVOT_THRESHOLD,
+def _factor(matrix: sp.csc_matrix, order: str, threshold: float = PIVOT_THRESHOLD):
+    """SuperLU in symmetric mode, in column order ``order``, at the pivot
+    threshold and the fixed supernode sizes."""
+    return spla.splu(matrix, permc_spec=order, diag_pivot_thresh=threshold,
                      relax=RELAX, panel_size=PANEL_SIZE,
                      options={"SymmetricMode": True})
 
@@ -488,6 +502,15 @@ def _plan(n: int, edges: tuple[tuple[int, int], ...]) -> SimpleNamespace:
     picks the precision of the direct solve (above MIXED_PRECISION_NNZ,
     float32 factors refined in float64) and bounds the memory the factors
     may take (MAX_FACTOR_MB).
+
+    ``tail`` is the number of unknowns at the end of the order that the
+    dense-tail route of ``efficiency_liouvillian`` factors as one dense
+    block, from the first pair whose column of the pattern factor's L is
+    TAIL_DENSITY full on and below the diagonal; it is 0 unless the columns
+    after the last one below DENSE_DENSITY hold MIN_DENSE_TAIL unknowns.
+    Of the graphs measured only hypercube d=6 (1,946) and d=7 (7,682) take
+    the route. ``head_factor_nnz`` counts the nonzeros of the pattern
+    factor's L and U in the columns and rows before the tail.
     """
     entries = _entries(n, edges)
     rows, cols = entries.rows, entries.cols
@@ -507,10 +530,21 @@ def _plan(n: int, edges: tuple[tuple[int, int], ...]) -> SimpleNamespace:
     keys = perm[cols] * nn + perm[rows]
     order = np.argsort(keys)
     keys = keys[order]
+    # unknowns at each position of the pattern's order and after it
+    after = np.append(np.cumsum(size[by_position][::-1])[::-1], 0)
+    lower = factor.L.indptr  # the unit diagonal included
+    density = np.diff(lower) / np.arange(n_pairs, 0, -1)
+    first = int(np.argmax(density >= TAIL_DENSITY))  # the last column is full
+    sparse = np.flatnonzero(density < DENSE_DENSITY)
+    dense = after[sparse[-1] + 1 if sparse.size else 0] >= MIN_DENSE_TAIL
+    # the pattern is symmetric and pivots on its diagonal, so U's first rows
+    # hold as many nonzeros as L's first columns
     return _read_only(
         perm=perm, order=order, indices=(keys % nn).astype(np.int32),
         indptr=np.searchsorted(keys // nn, np.arange(nn + 1)).astype(np.int32),
-        pair_factor_nnz=np.array(factor.nnz))
+        pair_factor_nnz=np.array(factor.nnz),
+        tail=np.array(after[first] if dense else 0),
+        head_factor_nnz=np.array(2 * lower[first]))
 
 
 def build_liouvillian(model: TransportModel) -> sp.csc_matrix:
@@ -523,10 +557,14 @@ def build_liouvillian(model: TransportModel) -> sp.csc_matrix:
                           plan.indptr.copy()), shape=(n * n, n * n))
 
 
-def _check_factor_size(a: sp.csc_matrix, plan: SimpleNamespace) -> None:
+def _check_factor_size(a: sp.csc_matrix, plan: SimpleNamespace,
+                       tail: int = 0) -> None:
     """SolverError if the factors of a, predicted from the plan at a's
-    precision, would take more than MAX_FACTOR_MB."""
-    mb = 4 * plan.pair_factor_nnz * (a.dtype.itemsize + 4) / 1e6
+    precision, would take more than MAX_FACTOR_MB; with a ``tail`` of k
+    unknowns, those of the dense-tail route: the bordered head factors and
+    the k x k float64 tail."""
+    nnz = plan.head_factor_nnz if tail else plan.pair_factor_nnz
+    mb = (4 * nnz * (a.dtype.itemsize + 4) + 8 * tail**2) / 1e6
     if mb > MAX_FACTOR_MB:
         raise SolverError(
             f"the factors of the {math.isqrt(a.shape[0])}-site generator would "
@@ -551,18 +589,70 @@ def _refined(a: sp.csc_matrix, b: np.ndarray, solve, watched) -> np.ndarray | No
     return None
 
 
-def _mixed_precision_solve(a: sp.csc_matrix, b: np.ndarray, plan: SimpleNamespace,
-                           watched) -> np.ndarray | None:
-    """y with a y = b from float32 factors of a, ``_refined``; None where
-    they cannot be had or the refinement does not converge. The factors
-    are freed on return, before a float64 fallback factors a."""
+def _float32_inverse(a: sp.csc_matrix, plan: SimpleNamespace):
+    """The solve of float32 factors of a, for ``_refined``; None where they
+    cannot be had."""
     single = a.astype(np.float32)
     _check_factor_size(single, plan)
     try:
         lu = _factor(single, "NATURAL")
     except RuntimeError:  # singular in float32
         return None
-    return _refined(a, b, lambda r: lu.solve(r.astype(np.float32)), watched)
+    return lambda r: lu.solve(r.astype(np.float32))
+
+
+def _schur_complement(a: sp.csc_matrix, split: int):
+    """(head, schur): the SuperLU factors of the bordered head [[A11, A12],
+    [0, I]] of a, split after its first ``split`` unknowns, and the dense
+    Schur complement S = A22 - A21 A11^-1 A12 of the tail, in Fortran
+    order. With P A11 = L11 U11 the head's factors hold U12 = L11^-1 P A12;
+    the lower triangular [[U11^T, A21^T], [0, I]] factors on its diagonal
+    into a U block diag(U11) U11^-T A21^T, which gives L21 = A21 U11^-1,
+    and S = A22 - L21 U12. In symmetric mode SuperLU keeps the natural
+    column order, and the border's rows [0, I] never pivot into the head,
+    so the factors' blocks are these. RuntimeError if a factorization
+    fails."""
+    s, k = split, a.shape[0] - split
+    eye = sp.identity(k, format="csc")
+    head = _factor(sp.bmat([[a[:s, :s], a[:s, s:]], [None, eye]], format="csc"),
+                   "NATURAL")
+    u = head.U
+    low = _factor(sp.bmat([[u[:s, :s].T, a[s:, :s].T], [None, eye]], format="csc"),
+                  "NATURAL", 0.0).U
+    l21 = (low[:s, s:].T @ sp.diags(1.0 / low.diagonal()[:s])).tocsc()
+    u12 = u[:s, s:].tocsc()
+    schur = a[s:, s:].toarray(order="F")
+    for c in range(0, k, 64):  # bounds the sparse product's size
+        schur[:, c:c + 64] -= (l21 @ u12[:, c:c + 64]).toarray(order="F")
+    return head, schur
+
+
+def _dense_tail_inverse(a: sp.csc_matrix, plan: SimpleNamespace):
+    """The float64 solve of the plan's dense-tail route, for ``_refined``:
+    SuperLU on the head, LAPACK's LU with partial pivoting on the dense
+    Schur complement of the tail; None where a factorization fails."""
+    # imported here: at module level it made every process start 5-8 ms
+    # slower, and 14-57 ms ahead of the scipy.sparse imports
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+    k = int(plan.tail)
+    _check_factor_size(a, plan, k)
+    s = a.shape[0] - k
+    try:
+        head, schur = _schur_complement(a, s)
+    except RuntimeError:  # singular head
+        return None
+    with warnings.catch_warnings():
+        # a singular tail warns; its solve is not finite, which _refined drops
+        warnings.simplefilter("ignore", LinAlgWarning)
+        tail = lu_factor(schur, overwrite_a=True, check_finite=False)
+    a21 = a[s:, :s]
+
+    def solve(r):
+        x = head.solve(np.concatenate([r[:s], np.zeros(k)]))  # [A11^-1 r1, 0]
+        x[s:] = lu_solve(tail, r[s:] - a21 @ x[:s], check_finite=False)
+        x[:s] = r[:s]
+        return head.solve(x)  # [A11^-1 (r1 - A12 x2), x2]
+    return solve
 
 
 @_blas_on_one_thread()
@@ -610,6 +700,25 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
     runs, with its own bits. The backward-error guard checks both routes.
     Before either factorization, a solve whose factors are predicted to
     take more than MAX_FACTOR_MB raises SolverError.
+
+    Dense tail. On a graph above MIXED_PRECISION_NNZ whose plan has a
+    dense tail (``_plan``: of the graphs measured, only hypercube d=6, with
+    the last 1,946 of its 4,096 unknowns), float64 factors take the
+    float32 ones' place in the same refinement: SuperLU on the bordered
+    head, LAPACK's getrf in place on the tail's dense Schur complement
+    (``_schur_complement``), at about 40 GFlop/s. A warm hypercube d=6
+    solve took 162-172 ms against 267-274 ms on float32 factors
+    (delta_eps = 1, gamma_phi = 0.1, Gamma = 0.01, one BLAS thread), with 2
+    or 3 solves of the refinement wherever there is dephasing or
+    Gamma = 0.01; 0.16-0.17 s at gamma_phi = 1e4 (1.2-4.9 s on float32
+    factors), and 0.16 s on the ordered model without dephasing at
+    Gamma = 1e-6 (7.6 s). Disordered models without dephasing at
+    Gamma = 1e-6 may not converge, as the float64 residual's rounding
+    keeps the corrections at 1e-13 to 5e-12, and fall back after 0.2 s
+    (delta_eps = 1: 4.9 s in all, against 8.7 s). getrf runs on the one
+    thread that ``_blas_on_one_thread`` sets. PANEL_SIZE and RELAX stay as
+    they are: at panel 32 and relax 10 a hypercube d=6 solve aborted the
+    interpreter ("munmap_chunk(): invalid pointer").
     """
     if model.recomb_rate <= 0:
         raise ValueError("direct solve requires recomb_rate > 0 "
@@ -624,7 +733,10 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
     y = None
     if plan.pair_factor_nnz > MIXED_PRECISION_NNZ:
         watched = (plan.perm[[model.trap_site * (n + 1)]], plan.perm[::n + 1])
-        y = _mixed_precision_solve(a, b, plan, watched)
+        solve = (_dense_tail_inverse if plan.tail else _float32_inverse)(a, plan)
+        if solve is not None:
+            y = _refined(a, b, solve, watched)
+        del solve  # frees the factors before a float64 fallback factors a
     if y is None:
         _check_factor_size(a, plan)
         try:

@@ -471,21 +471,30 @@ def test_direct_solve_agrees_with_time_stepping_on_random_graphs():
         assert abs(direct.eta_loss - stepped.eta_loss) < 1e-6
 
 
-def refined_solve(rho0, m, steps=3):
-    """eta and eta_loss from SuperLU on the natural-order real map plus
-    ``steps`` steps of iterative refinement, each residual b - A z summed
-    in np.longdouble."""
-    a = dynamics._real_map(m).tocsc()
-    lu = spla.splu(a)
+def refined_solve(rho0, m, steps=3, dense_tail=False):
+    """eta and eta_loss from SuperLU on the natural-order real map, or with
+    ``dense_tail`` from the dense-tail route's factors of the plan-ordered
+    map, plus ``steps`` steps of iterative refinement, each residual
+    b - A z summed in np.longdouble."""
+    n = m.n_sites
     b = -(rho0.real + rho0.imag).ravel()
-    z = lu.solve(b)
+    if dense_tail:
+        plan = dynamics._plan(n, m.topology.edges)
+        a = build_liouvillian(m)
+        b = b[np.argsort(plan.perm)]
+        solve = dynamics._dense_tail_inverse(a, plan)
+    else:
+        a = dynamics._real_map(m).tocsc()
+        solve = spla.splu(a).solve
+    z = solve(b)
     coo = a.tocoo()
     data = coo.data.astype(np.longdouble)
     for _ in range(steps):
         r = b.astype(np.longdouble)
         np.subtract.at(r, coo.row, data * z[coo.col])
-        z = z + lu.solve(r.astype(float))
-    n = m.n_sites
+        z = z + solve(r.astype(float))
+    if dense_tail:
+        z = z[plan.perm]
     return (2.0 * m.trap_rate * z[m.trap_site * (n + 1)],
             2.0 * m.recomb_rate * z[::n + 1].sum())
 
@@ -516,7 +525,8 @@ def test_direct_solve_resolves_a_tiny_eta_under_strong_dephasing(topology, kind,
 # --- float32 factors refined in float64, above MIXED_PRECISION_NNZ ---
 
 def in_float64(rho0, m, monkeypatch):
-    """The float64 solve, with no graph above the precision threshold."""
+    """The float64 SuperLU solve, with no graph above the precision
+    threshold, so neither float32 factors nor the dense tail."""
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "MIXED_PRECISION_NNZ", 10**12)
         return efficiency_liouvillian(rho0, m)
@@ -545,18 +555,20 @@ def model_on(topology, delta_eps, gamma_phi, gamma=0.01):
                           recomb_rate=gamma, dephasing_rate=gamma_phi)
 
 
-@pytest.mark.parametrize("topology,kind,dtype", [
-    (build_binary_tree(5), LEAF_MIXTURE, np.float64),
-    (build_hypercube(4), UNIFORM_MIXTURE, np.float64),
-    (build_hypercube(6), UNIFORM_MIXTURE, np.float32)],
-    ids=["tree5", "hypercube4", "hypercube6"])
-def test_the_threshold_picks_the_factor_precision(topology, kind, dtype, monkeypatch):
+@pytest.mark.parametrize("topology,kind,dtypes", [
+    (build_binary_tree(5), LEAF_MIXTURE, [np.float64]),
+    (build_hypercube(4), UNIFORM_MIXTURE, [np.float64]),
+    (build_hypercube(5), UNIFORM_MIXTURE, [np.float32]),
+    # the dense tail: the bordered head, then its lower triangular partner
+    (build_hypercube(6), UNIFORM_MIXTURE, [np.float64, np.float64])],
+    ids=["tree5", "hypercube4", "hypercube5", "hypercube6"])
+def test_the_threshold_picks_the_factor_precision(topology, kind, dtypes, monkeypatch):
     m = model_on(topology, 1.0, 0.1)
     rho0 = initial_state(topology, kind)
     efficiency_liouvillian(rho0, m)  # the plan, its pattern factored in float64
     seen = factor_dtypes(monkeypatch)
     efficiency_liouvillian(rho0, m)
-    assert seen == [dtype]
+    assert seen == dtypes
 
 
 @pytest.mark.parametrize("topology,kind", [
@@ -564,6 +576,7 @@ def test_the_threshold_picks_the_factor_precision(topology, kind, dtype, monkeyp
     (build_binary_tree(7), LEAF_MIXTURE), (build_hypercube(6), UNIFORM_MIXTURE)],
     ids=["hypercube5", "tree6", "tree7", "hypercube6"])
 def test_float32_factors_refined_agree_with_the_float64_solve(topology, kind, monkeypatch):
+    # hypercube d=6 is refined from its dense-tail factors instead
     n = topology.n_sites
     assert dynamics._plan(n, topology.edges).pair_factor_nnz > dynamics.MIXED_PRECISION_NNZ
     rho0 = initial_state(topology, kind)
@@ -618,3 +631,88 @@ def test_factors_predicted_too_large_raise_before_the_factorization(monkeypatch)
     plan = dynamics._plan(hyper6.n_sites, hyper6.edges)
     dynamics._check_factor_size(a, plan)
     dynamics._check_factor_size(a.astype(np.float32), plan)
+
+
+# --- the dense tail: SuperLU on the head, LAPACK on the Schur complement ---
+
+def test_only_a_large_dense_tail_takes_the_route():
+    graphs = {"hypercube5": build_hypercube(5), "tree6": build_binary_tree(6),
+              "tree7": build_binary_tree(7), "tree8": build_binary_tree(8),
+              "hypercube6": build_hypercube(6)}
+    tails = {name: int(dynamics._plan(t.n_sites, t.edges).tail)
+             for name, t in graphs.items()}
+    assert tails == {"hypercube5": 0, "tree6": 0, "tree7": 0, "tree8": 0,
+                     "hypercube6": 1946}
+
+
+def test_the_schur_complement_of_the_bordered_factors_is_exact(monkeypatch):
+    hyper4 = build_hypercube(4)
+    rho0 = initial_state(hyper4, UNIFORM_MIXTURE)
+    monkeypatch.setattr(dynamics, "MIN_DENSE_TAIL", 0)
+    monkeypatch.setattr(dynamics, "MIXED_PRECISION_NNZ", 0)
+    dynamics._plan.cache_clear()
+    try:
+        plan = dynamics._plan(hyper4.n_sites, hyper4.edges)
+        s = 256 - int(plan.tail)
+        assert 0 < s < 256
+        for delta_eps, gamma_phi in ((0.0, 0.0), (1.0, 0.1), (2.5, 1e4)):
+            m = model_on(hyper4, delta_eps, gamma_phi)
+            dense = build_liouvillian(m).toarray()
+            want = dense[s:, s:] - dense[s:, :s] @ np.linalg.solve(dense[:s, :s],
+                                                                   dense[:s, s:])
+            _, schur = dynamics._schur_complement(build_liouvillian(m), s)
+            assert schur.flags.f_contiguous
+            assert np.abs(schur - want).max() <= 1e-12 * np.abs(want).max()
+            got, f64 = efficiency_liouvillian(rho0, m), in_float64(rho0, m, monkeypatch)
+            assert abs(got.eta - f64.eta) <= 1e-13 * f64.eta
+            assert abs(got.eta_loss - f64.eta_loss) <= 1e-13 * f64.eta_loss
+    finally:
+        dynamics._plan.cache_clear()  # later tests get the shipped plan
+
+
+def test_the_dense_tail_agrees_with_a_long_double_refinement(monkeypatch):
+    # at Gamma = 0.01, test_float32_factors_refined_agree_with_the_float64_solve
+    # holds hypercube d=6 to the float64 SuperLU solve. At Gamma = 1e-6 that
+    # solve is itself up to 3.4e-10 off (delta_eps = 2.5, gamma_phi = 0), so
+    # the route is held to three refinements of its own solve on residuals
+    # summed in np.longdouble. Without dephasing the residual's rounding
+    # leaves corrections at 1e-13 to 5e-12, above REFINE_TOL: there a solve
+    # falls back to the float64 bits, or converges within 1e-12
+    hyper6 = build_hypercube(6)
+    rho0 = initial_state(hyper6, UNIFORM_MIXTURE)
+    converged, refined = [], dynamics._refined
+
+    def spy(*args):
+        y = refined(*args)
+        converged.append(y is not None)
+        return y
+
+    monkeypatch.setattr(dynamics, "_refined", spy)
+    for delta_eps, gamma_phi in itertools.product((0.0, 1.0, 2.5), (0.0, 0.1, 1.0, 1e4)):
+        m = model_on(hyper6, delta_eps, gamma_phi, gamma=1e-6)
+        got = efficiency_liouvillian(rho0, m)
+        if (delta_eps, gamma_phi) == (1.0, 0.0):
+            assert converged == [False]
+        if converged.pop():
+            eta, eta_loss = refined_solve(rho0, m, dense_tail=True)
+            tol = 1e-12 if gamma_phi == 0 else 1e-13
+            assert abs(got.eta - eta) <= tol * eta
+            assert abs(got.eta_loss - eta_loss) <= tol * eta_loss
+        else:
+            assert same_bits(got, in_float64(rho0, m, monkeypatch))
+
+
+def test_the_dense_tail_is_predicted_before_it_is_factored(monkeypatch):
+    hyper6 = build_hypercube(6)
+    m = model_on(hyper6, 1.0, 0.1)
+    rho0 = initial_state(hyper6, UNIFORM_MIXTURE)
+    plan = dynamics._plan(hyper6.n_sites, hyper6.edges)
+    # 1.6 MB of bordered head factors and the 30.3 MB tail pass the bound
+    dynamics._check_factor_size(build_liouvillian(m), plan, int(plan.tail))
+    seen, schurs = factor_dtypes(monkeypatch), []
+    monkeypatch.setattr(dynamics, "_schur_complement", lambda *args: schurs.append(args))
+    monkeypatch.setattr(dynamics, "MAX_FACTOR_MB", 31.0)
+    with pytest.raises(dynamics.SolverError,
+                       match="64-site generator would take about 31.88 MB"):
+        efficiency_liouvillian(rho0, m)
+    assert seen == [] and schurs == []
