@@ -91,9 +91,13 @@ MIN_DENSE_TAIL = 1500
 # Gamma = 0.01 (delta_eps in {0, 1, 2.5}, gamma_phi in {0, 0.1, 1, 1e4}) that
 # took 3 or 4 corrections and left eta within 1.3e-14 relative of the float64
 # solve; at Gamma = 1e-6 and 1e-9 the converged solves took 2 to 7. Without
-# dephasing there, float32 factors are too coarse and no correction count
-# converges: after MAX_REFINEMENTS the float64 solve runs instead.
+# dephasing there the residual's rounding can stall them above REFINE_TOL; a
+# correction that moves them by at most STALL_TOL, and by more than half of
+# the one before, returns the iterate: on 6 such cells of hypercubes d=5/6
+# and trees g=6/7, 5e-14 to 3.5e-12 off a long-double refinement, where the
+# float64 solve run after MAX_REFINEMENTS was 2e-12 to 3.4e-9 off.
 REFINE_TOL = 1e-14
+STALL_TOL = 1e-10
 MAX_REFINEMENTS = 10
 # Largest predicted size of the real factors: the pattern factor's nonzeros
 # times 4, as each pair of coordinates Z_ij, Z_ji stands for one node of the
@@ -209,7 +213,9 @@ def _values(model: TransportModel) -> np.ndarray:
     and -H_sys. H = H_sys - i diag(k), with H_sys real symmetric and
     k = Gamma + kappa e_trap, so on the real coordinates Z of ``_pack``
     dZ/dt = Z^T H_sys - H_sys Z^T - D o Z, with D_ij = k_i + k_j plus the
-    coherence damping rate for i != j."""
+    coherence damping rate for i != j. So A = -diag(D) + C, where C is
+    skew-symmetric and changes sign under the swap T of Z_ij and Z_ji, and
+    D does not: T A is symmetric."""
     h = assemble_effective_hamiltonian(model)
     n = model.n_sites
     eps, k = h.real.diagonal(), -h.imag.diagonal()
@@ -510,7 +516,10 @@ def _plan(n: int, edges: tuple[tuple[int, int], ...]) -> SimpleNamespace:
     after the last one below DENSE_DENSITY hold MIN_DENSE_TAIL unknowns.
     Of the graphs measured only hypercube d=6 (1,946) and d=7 (7,682) take
     the route. ``head_factor_nnz`` counts the nonzeros of the pattern
-    factor's L and U in the columns and rows before the tail.
+    factor's L and U in the columns and rows before the tail. ``partner[p]``
+    is the position of the transpose partner of the unknown at p: Z_ji for
+    Z_ij, p itself on the diagonal; as the tail starts on a pair boundary,
+    it maps the tail into itself.
     """
     entries = _entries(n, edges)
     rows, cols = entries.rows, entries.cols
@@ -527,6 +536,8 @@ def _plan(n: int, edges: tuple[tuple[int, int], ...]) -> SimpleNamespace:
     start = np.empty(n_pairs, dtype=np.intp)
     start[by_position] = np.cumsum(size[by_position]) - size[by_position]
     perm = start[pair] + (i < j)
+    partner = np.empty(nn, dtype=np.intp)
+    partner[perm] = perm[j * n + i]
     keys = perm[cols] * nn + perm[rows]
     order = np.argsort(keys)
     keys = keys[order]
@@ -540,7 +551,7 @@ def _plan(n: int, edges: tuple[tuple[int, int], ...]) -> SimpleNamespace:
     # the pattern is symmetric and pivots on its diagonal, so U's first rows
     # hold as many nonzeros as L's first columns
     return _read_only(
-        perm=perm, order=order, indices=(keys % nn).astype(np.int32),
+        perm=perm, partner=partner, order=order, indices=(keys % nn).astype(np.int32),
         indptr=np.searchsorted(keys // nn, np.arange(nn + 1)).astype(np.int32),
         pair_factor_nnz=np.array(factor.nnz),
         tail=np.array(after[first] if dense else 0),
@@ -574,18 +585,23 @@ def _check_factor_size(a: sp.csc_matrix, plan: SimpleNamespace,
 def _refined(a: sp.csc_matrix, b: np.ndarray, solve, watched) -> np.ndarray | None:
     """y with a y = b by iterative refinement on a's float64 residual: from
     y = 0, y += solve(b - a y) until a correction moves no sum y[idx], idx
-    in ``watched``, by more than REFINE_TOL of its value. ``solve`` applies
-    an approximate inverse of a. None if a correction is not finite or the
-    first solve and MAX_REFINEMENTS corrections do not converge."""
+    in ``watched``, by more than REFINE_TOL of its value, or the iteration
+    stalls: a correction moves them by at most STALL_TOL, and by more than
+    half of what the one before moved them. ``solve`` applies an
+    approximate inverse of a. None if a correction is not finite or the
+    first solve and MAX_REFINEMENTS corrections do neither."""
     y = np.zeros_like(b)
+    last = math.inf
     for _ in range(MAX_REFINEMENTS + 1):
         d = solve(b - a @ y)
         if not np.all(np.isfinite(d)):
             return None
         y = y + d
-        if all(abs(d[idx].sum()) <= REFINE_TOL * abs(y[idx].sum())
-               for idx in watched):
+        sums = [(abs(d[idx].sum()), abs(y[idx].sum())) for idx in watched]
+        moved = max(dm / ym if dm else 0.0 for dm, ym in sums)
+        if moved <= REFINE_TOL or 0.5 * last < moved <= STALL_TOL:
             return y
+        last = moved
     return None
 
 
@@ -601,27 +617,31 @@ def _float32_inverse(a: sp.csc_matrix, plan: SimpleNamespace):
     return lambda r: lu.solve(r.astype(np.float32))
 
 
-def _schur_complement(a: sp.csc_matrix, split: int):
+def _schur_complement(a: sp.csc_matrix, plan: SimpleNamespace):
     """(head, schur): the SuperLU factors of the bordered head [[A11, A12],
-    [0, I]] of a, split after its first ``split`` unknowns, and the dense
-    Schur complement S = A22 - A21 A11^-1 A12 of the tail, in Fortran
-    order. With P A11 = L11 U11 the head's factors hold U12 = L11^-1 P A12;
-    the lower triangular [[U11^T, A21^T], [0, I]] factors on its diagonal
-    into a U block diag(U11) U11^-T A21^T, which gives L21 = A21 U11^-1,
-    and S = A22 - L21 U12. In symmetric mode SuperLU keeps the natural
-    column order, and the border's rows [0, I] never pivot into the head,
-    so the factors' blocks are these. RuntimeError if a factorization
+    [0, I]] of a, split before the plan's tail, and the dense T2 S of the
+    tail's Schur complement S = A22 - A21 A11^-1 A12, in Fortran order,
+    where T2 swaps each tail unknown with its ``partner``. With P A11 =
+    L11 U11 the head's factors hold U12 = L11^-1 P A12; the lower triangular
+    [[U11^T, A21^T], [0, I]] factors on its diagonal into a U block
+    diag(U11) U11^-T A21^T, which gives L21 = A21 U11^-1, and
+    T2 S = T2 A22 - (T2 L21) U12. In symmetric mode SuperLU keeps the
+    natural column order, and the border's rows [0, I] never pivot into the
+    head, so the factors' blocks are these. T A is symmetric (``_values``)
+    and T = diag(T1, T2), so T2 S is too. RuntimeError if a factorization
     fails."""
-    s, k = split, a.shape[0] - split
+    k = int(plan.tail)
+    s = a.shape[0] - k
+    swap = plan.partner[s:]  # T2, on a's positions
     eye = sp.identity(k, format="csc")
     head = _factor(sp.bmat([[a[:s, :s], a[:s, s:]], [None, eye]], format="csc"),
                    "NATURAL")
     u = head.U
     low = _factor(sp.bmat([[u[:s, :s].T, a[s:, :s].T], [None, eye]], format="csc"),
                   "NATURAL", 0.0).U
-    l21 = (low[:s, s:].T @ sp.diags(1.0 / low.diagonal()[:s])).tocsc()
+    l21 = (low[:s, swap].T @ sp.diags(1.0 / low.diagonal()[:s])).tocsc()
     u12 = u[:s, s:].tocsc()
-    schur = a[s:, s:].toarray(order="F")
+    schur = a[swap][:, s:].toarray(order="F")
     for c in range(0, k, 64):  # bounds the sparse product's size
         schur[:, c:c + 64] -= (l21 @ u12[:, c:c + 64]).toarray(order="F")
     return head, schur
@@ -629,27 +649,31 @@ def _schur_complement(a: sp.csc_matrix, split: int):
 
 def _dense_tail_inverse(a: sp.csc_matrix, plan: SimpleNamespace):
     """The float64 solve of the plan's dense-tail route, for ``_refined``:
-    SuperLU on the head, LAPACK's LU with partial pivoting on the dense
-    Schur complement of the tail; None where a factorization fails."""
+    SuperLU on the head, LAPACK's symmetric indefinite factorization
+    (Bunch-Kaufman pivoting) in place on T2 S (``_schur_complement``);
+    None where a factorization fails. S x2 = r2 is solved as
+    T2 S x2 = T2 r2."""
     # imported here: at module level it made every process start 5-8 ms
     # slower, and 14-57 ms ahead of the scipy.sparse imports
-    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+    from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
     k = int(plan.tail)
     _check_factor_size(a, plan, k)
     s = a.shape[0] - k
     try:
-        head, schur = _schur_complement(a, s)
+        head, schur = _schur_complement(a, plan)
     except RuntimeError:  # singular head
         return None
-    with warnings.catch_warnings():
-        # a singular tail warns; its solve is not finite, which _refined drops
-        warnings.simplefilter("ignore", LinAlgWarning)
-        tail = lu_factor(schur, overwrite_a=True, check_finite=False)
+    # the default workspace runs the unblocked code, 5 times as slow
+    tail, pivots, info = dsytrf(schur, lower=1, overwrite_a=1,
+                                lwork=int(dsytrf_lwork(k, lower=1)[0]))
+    if info:  # an exactly singular block pivot
+        return None
+    swap = plan.partner[s:] - s
     a21 = a[s:, :s]
 
     def solve(r):
         x = head.solve(np.concatenate([r[:s], np.zeros(k)]))  # [A11^-1 r1, 0]
-        x[s:] = lu_solve(tail, r[s:] - a21 @ x[:s], check_finite=False)
+        x[s:] = dsytrs(tail, pivots, (r[s:] - a21 @ x[:s])[swap], lower=1)[0]
         x[:s] = r[:s]
         return head.solve(x)  # [A11^-1 (r1 - A12 x2), x2]
     return solve
@@ -692,11 +716,12 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
     its solution refined on the float64 A (``_refined``): from z = 0, each
     step adds the float32 solve of the residual -_pack(rho0) - A z, until
     a step moves neither eta nor eta_loss by more than REFINE_TOL of its
-    value. At Gamma = 0.01 that took 3 or 4 steps and moved eta by at most
-    1.3e-14 relative; a warm hypercube d=6 solve took 276 ms against
-    510 ms. If the float32 factorization fails, a value is not finite or
-    MAX_REFINEMENTS corrections do not converge (as without dephasing at
-    Gamma <= 1e-6), the float32 result is dropped and the float64 solve
+    value, or they stall below STALL_TOL. At Gamma = 0.01 that took 3 or 4
+    steps and moved eta by at most 1.3e-14 relative; a warm hypercube d=6
+    solve took 276 ms against 510 ms. If the float32 factorization fails,
+    a value is not finite or MAX_REFINEMENTS corrections do neither (on
+    4 of the 9 cells of hypercube d=5 and trees g=6/7 without dephasing
+    at Gamma = 1e-6), the float32 result is dropped and the float64 solve
     runs, with its own bits. The backward-error guard checks both routes.
     Before either factorization, a solve whose factors are predicted to
     take more than MAX_FACTOR_MB raises SolverError.
@@ -705,19 +730,19 @@ def efficiency_liouvillian(rho0: np.ndarray, model: TransportModel) -> Efficienc
     dense tail (``_plan``: of the graphs measured, only hypercube d=6, with
     the last 1,946 of its 4,096 unknowns), float64 factors take the
     float32 ones' place in the same refinement: SuperLU on the bordered
-    head, LAPACK's getrf in place on the tail's dense Schur complement
-    (``_schur_complement``), at about 40 GFlop/s. A warm hypercube d=6
-    solve took 162-172 ms against 267-274 ms on float32 factors
-    (delta_eps = 1, gamma_phi = 0.1, Gamma = 0.01, one BLAS thread), with 2
-    or 3 solves of the refinement wherever there is dephasing or
-    Gamma = 0.01; 0.16-0.17 s at gamma_phi = 1e4 (1.2-4.9 s on float32
-    factors), and 0.16 s on the ordered model without dephasing at
-    Gamma = 1e-6 (7.6 s). Disordered models without dephasing at
-    Gamma = 1e-6 may not converge, as the float64 residual's rounding
-    keeps the corrections at 1e-13 to 5e-12, and fall back after 0.2 s
-    (delta_eps = 1: 4.9 s in all, against 8.7 s). getrf runs on the one
-    thread that ``_blas_on_one_thread`` sets. PANEL_SIZE and RELAX stay as
-    they are: at panel 32 and relax 10 a hypercube d=6 solve aborted the
+    head, LAPACK's Bunch-Kaufman sytrf in place on T2 S, the tail's dense
+    Schur complement with its rows swapped by transpose partner, which is
+    symmetric as T A is (``_schur_complement``); half the flops of getrf,
+    95 against 125 ms. A warm hypercube d=6 solve took 140-143 ms against
+    172 ms with getrf (delta_eps = 1, gamma_phi = 0.1, Gamma = 0.01, one
+    BLAS thread) and 0.14-0.2 s on every cell of delta_eps in {0, 1, 2.5}
+    x gamma_phi in {0, 0.1, 1, 1e4} x Gamma in {0.01, 1e-6}, in 2 or 3
+    solves of the refinement with dephasing or at Gamma = 0.01. Without
+    dephasing at Gamma = 1e-6 disordered models stall 3e-13 to 3.5e-12
+    off a long-double refinement and return there (delta_eps = 1: 0.2 s,
+    against 5.1 s through the fallback). sytrf runs on the one thread
+    that ``_blas_on_one_thread`` sets. PANEL_SIZE and RELAX stay as they
+    are: at panel 32 and relax 10 a hypercube d=6 solve aborted the
     interpreter ("munmap_chunk(): invalid pointer").
     """
     if model.recomb_rate <= 0:

@@ -243,7 +243,46 @@ def test_the_plan_holds_no_view_into_the_factor():
     # the pattern's whole LU factor alive
     t = GRAPHS["tree5"]
     plan = dynamics._plan(t.n_sites, t.edges)
-    assert all(arr.base is None for arr in vars(plan).values())
+    assert all(arr.base is None and not arr.flags.writeable
+               for arr in vars(plan).values())
+
+
+def transpose_partners(n):
+    """t with z[t[c]] the coordinate Z_ji of z[c] = Z_ij, row-major."""
+    c = np.arange(n * n)
+    return c % n * n + c // n
+
+
+@pytest.mark.parametrize("rates", [
+    pytest.param({}, id="random"),
+    pytest.param({"trap_rate": 0.0, "recomb_rate": 0.0}, id="no-trap-no-loss"),
+    pytest.param({"dephasing_rate": 1e4}, id="1e4")])
+def test_the_real_map_is_symmetric_once_its_rows_are_transposed(rates):
+    # A = -diag(D) + C, where C is skew-symmetric and changes sign under
+    # the swap T of Z_ij and Z_ji, and D does not, so T A is symmetric,
+    # exactly: its mirrored entries are the same floats
+    rng = np.random.default_rng(7)
+    graphs = list(GRAPHS.values()) + [random_connected_graph(int(rng.integers(3, 12)), rng)
+                                      for _ in range(4)]
+    for topology in graphs:
+        m = random_model(topology, rng, **rates)
+        swapped = dynamics._real_map(m)[transpose_partners(m.n_sites)]
+        assert (swapped != swapped.T).nnz == 0
+
+
+@pytest.mark.parametrize("name", ["tree5", "hypercube4", "disconnected", "hypercube6"])
+def test_the_plan_pairs_each_unknown_with_its_transpose(name):
+    t = build_hypercube(6) if name == "hypercube6" else GRAPHS[name]
+    n = t.n_sites
+    plan = dynamics._plan(n, t.edges)
+    partner = plan.partner
+    assert np.array_equal(partner[plan.perm], plan.perm[transpose_partners(n)])
+    assert np.array_equal(partner[partner], np.arange(n * n))
+    diagonal = plan.perm[::n + 1]
+    assert np.array_equal(partner[diagonal], diagonal)
+    assert np.count_nonzero(partner == np.arange(n * n)) == n
+    tail = n * n - int(plan.tail)
+    assert np.all(partner[tail:] >= tail)
 
 
 # --- the real system the direct solve factors ---
@@ -660,9 +699,12 @@ def test_the_schur_complement_of_the_bordered_factors_is_exact(monkeypatch):
             dense = build_liouvillian(m).toarray()
             want = dense[s:, s:] - dense[s:, :s] @ np.linalg.solve(dense[:s, :s],
                                                                    dense[:s, s:])
-            _, schur = dynamics._schur_complement(build_liouvillian(m), s)
+            # T2 S: the tail's rows swapped with their transpose partners
+            want = want[plan.partner[s:] - s]
+            _, schur = dynamics._schur_complement(build_liouvillian(m), plan)
             assert schur.flags.f_contiguous
             assert np.abs(schur - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.abs(schur - schur.T).max() <= 1e-12 * np.abs(want).max()
             got, f64 = efficiency_liouvillian(rho0, m), in_float64(rho0, m, monkeypatch)
             assert abs(got.eta - f64.eta) <= 1e-13 * f64.eta
             assert abs(got.eta_loss - f64.eta_loss) <= 1e-13 * f64.eta_loss
@@ -673,11 +715,13 @@ def test_the_schur_complement_of_the_bordered_factors_is_exact(monkeypatch):
 def test_the_dense_tail_agrees_with_a_long_double_refinement(monkeypatch):
     # at Gamma = 0.01, test_float32_factors_refined_agree_with_the_float64_solve
     # holds hypercube d=6 to the float64 SuperLU solve. At Gamma = 1e-6 that
-    # solve is itself up to 3.4e-10 off (delta_eps = 2.5, gamma_phi = 0), so
-    # the route is held to three refinements of its own solve on residuals
-    # summed in np.longdouble. Without dephasing the residual's rounding
-    # leaves corrections at 1e-13 to 5e-12, above REFINE_TOL: there a solve
-    # falls back to the float64 bits, or converges within 1e-12
+    # solve is itself up to 3.4e-9 off (delta_eps = 1, gamma_phi = 0), so
+    # the route is held to six refinements of its own solve on residuals
+    # summed in np.longdouble, which agree to 1e-15 with five of the float64
+    # SuperLU solve (three leave that cell 3.3e-11 off). Without dephasing
+    # the float64 residual's rounding stalls the corrections above
+    # REFINE_TOL; the stalled iterate is returned, 3.5e-12 off at worst,
+    # and no cell falls back
     hyper6 = build_hypercube(6)
     rho0 = initial_state(hyper6, UNIFORM_MIXTURE)
     converged, refined = [], dynamics._refined
@@ -691,15 +735,50 @@ def test_the_dense_tail_agrees_with_a_long_double_refinement(monkeypatch):
     for delta_eps, gamma_phi in itertools.product((0.0, 1.0, 2.5), (0.0, 0.1, 1.0, 1e4)):
         m = model_on(hyper6, delta_eps, gamma_phi, gamma=1e-6)
         got = efficiency_liouvillian(rho0, m)
-        if (delta_eps, gamma_phi) == (1.0, 0.0):
-            assert converged == [False]
-        if converged.pop():
-            eta, eta_loss = refined_solve(rho0, m, dense_tail=True)
-            tol = 1e-12 if gamma_phi == 0 else 1e-13
-            assert abs(got.eta - eta) <= tol * eta
-            assert abs(got.eta_loss - eta_loss) <= tol * eta_loss
-        else:
-            assert same_bits(got, in_float64(rho0, m, monkeypatch))
+        assert converged.pop()
+        eta, eta_loss = refined_solve(rho0, m, steps=6, dense_tail=True)
+        tol = 1e-11 if gamma_phi == 0 else 1e-13
+        assert abs(got.eta - eta) <= tol * eta
+        assert abs(got.eta_loss - eta_loss) <= tol * eta_loss
+
+
+def stepping_solve(jitter, calls):
+    """An exact solve but for ``jitter`` of alternating sign added to every
+    component, so that each correction after the first moves the solution
+    by 2 jitter and the refinement never converges."""
+    def solve(r):
+        calls.append(r)
+        return r + (-1) ** len(calls) * jitter
+    return solve
+
+
+@pytest.mark.parametrize("jitter,stalls", [(1e-12, True), (1e-8, False)])
+def test_a_refinement_that_stalls_below_the_bound_returns_its_iterate(jitter, stalls):
+    a, b = sp.identity(4, format="csc"), np.ones(4)
+    watched = (np.array([0]), np.arange(4))
+    calls = []
+    y = dynamics._refined(a, b, stepping_solve(jitter, calls), watched)
+    if stalls:
+        # the first solve gives 1 - jitter, and the next two move it by
+        # 2 jitter each: at most STALL_TOL, and more than half of the move
+        # before
+        assert len(calls) == 3 and np.allclose(y, 1.0, rtol=0, atol=2 * jitter)
+    else:
+        assert len(calls) == dynamics.MAX_REFINEMENTS + 1 and y is None
+
+
+def test_a_singular_tail_falls_back_to_the_float64_bits(monkeypatch):
+    from scipy.linalg import lapack
+    hyper6 = build_hypercube(6)
+    m = model_on(hyper6, 1.0, 0.1)
+    rho0 = initial_state(hyper6, UNIFORM_MIXTURE)
+    want = in_float64(rho0, m, monkeypatch)
+    dsytrf = lapack.dsytrf
+    # LAPACK's info > 0: a block pivot of D is exactly zero
+    monkeypatch.setattr(lapack, "dsytrf", lambda *args, **kw: dsytrf(*args, **kw)[:2] + (7,))
+    seen = factor_dtypes(monkeypatch)
+    assert same_bits(efficiency_liouvillian(rho0, m), want)
+    assert seen == [np.float64] * 3  # the bordered head, its partner, the fallback
 
 
 def test_the_dense_tail_is_predicted_before_it_is_factored(monkeypatch):
