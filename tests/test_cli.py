@@ -364,6 +364,18 @@ def test_runtime_error_exits_1_with_an_error_line(tmp_path, capsys):
     assert err.startswith("error: ") and "missing.txt" in err
 
 
+def test_a_horizon_that_overflows_names_the_recombination_rate(capsys):
+    # ln(1/TRACE_TOL) / (2 Gamma) is inf at Gamma = 1e-320, an input the
+    # flag accepts; the error names the rate, not the internal t_final
+    code, out, err = run_cli(capsys, "single", "--graph", "binary-tree",
+                             "--generations", "3", "--gamma-recomb", "1e-320",
+                             "--solver", "timestepping")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: recomb_rate ")
+    assert "horizon" in err and "overflows" in err and "t_final" not in err
+
+
 def readme_commands():
     """Every 'enaqt ...' command of the README's sh blocks, as argv lists."""
     commands = []
