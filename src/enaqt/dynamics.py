@@ -20,24 +20,29 @@ eta_loss = 2 * Gamma * integral tr rho dt so that
 eta + eta_loss + residual_trace == 1 up to solver tolerance.
 
 Time stepping is the Dormand-Prince pair DOP853 in two drivers: the
-efficiency runs Hairer's compiled code (scipy's ``ode``), which calls
+efficiency calls Hairer's compiled ``dopri853`` directly, which calls
 Python only for the right-hand side and once per accepted step, and the
 trajectories of ``propagate`` and ``propagate_pure`` run ``solve_ivp``,
 whose dense output samples an output grid without restarting the steps.
+Only they import the scipy.integrate package, which costs a process that
+steps 21 MB of peak memory and 0.17-0.33 s before its first solve.
 """
 from __future__ import annotations
 
 import contextlib
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 import threading
-import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csr_matvec
@@ -299,7 +304,7 @@ def _integrate(rhs, t_final: float, y0: np.ndarray, n_points: int):
     that never fires records the last accepted time for IntegrationError,
     as ``sol.t`` holds only the grid points reached."""
     _check_horizon(t_final)
-    from scipy.integrate import solve_ivp  # only time stepping needs it
+    from scipy.integrate import solve_ivp  # only trajectories need it
     t_reached = 0.0
 
     def clock(t, y):
@@ -405,36 +410,37 @@ def _blas_on_one_thread():
 
 
 _STEPPER_LOCK = threading.Lock()
+# the run under _STEPPER_LOCK, read by the fixed callbacks: dopri853 keeps
+# each run's callbacks, 1,729 B a tree g=3 solve if new, 30 B if these
+_RUN = SimpleNamespace()
 
 
 @functools.cache
-def _stepper() -> tuple:
-    """The compiled DOP853 of this process, made on first use, and the run
-    namespace through which its fixed callbacks reach the current solve.
+def _dopri853():
+    """``dopri853`` of scipy's ``_dop`` extension, Hairer's compiled DOP853:
+    the one scipy.integrate loaded, else the extension file alone."""
+    module = sys.modules.get("scipy.integrate._dop")
+    if module is None:
+        stem = os.path.join(os.path.dirname(scipy.__file__), "integrate", "_dop")
+        path = next(stem + x for x in importlib.machinery.EXTENSION_SUFFIXES
+                    if os.path.isfile(stem + x))
+        spec = importlib.util.spec_from_file_location("scipy.integrate._dop", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module.dopri853
 
-    scipy 1.17.1's wrapper keeps a reference to the callbacks of every run.
-    With a new solver, and so new callbacks, per solve, each tree g=3 solve
-    left 1,729 B behind; with this one, 30 B (tracemalloc, 200 solves).
-    It holds the state and work arrays of its last solve until the next.
-    """
-    from scipy.integrate import ode  # only time stepping needs it
-    run = SimpleNamespace()
 
-    def solout(t, y):
-        # keep the last two accepted (t, y), from t = 0 on, and stop where
-        # the trace falls through TRACE_TOL, as a state below it never does
-        trace = y[run.diag].sum()
-        stop = trace < TRACE_TOL <= run.trace
-        run.steps, run.trace = run.steps[-1:] + [(t, y.copy())], trace
-        return -1 if stop else 0
+def _rhs(t, y):
+    return _RUN.f(t, y)
 
-    solver = ode(lambda t, y: run.f(t, y)).set_integrator(
-        "dop853", rtol=RTOL, atol=ATOL)
-    solver.set_solout(solout)
-    # each reset would hand the driver a new bound method _solout, which the
-    # wrapper keeps (64 B a run); pin one
-    solver._integrator._solout = solver._integrator._solout
-    return solver, run
+
+def _solout(t, y):
+    # keep the last two accepted (t, y), from t = 0 on, and stop where the
+    # trace falls through TRACE_TOL, as a state below it never does
+    trace = y[_RUN.diag].sum()
+    stop = trace < TRACE_TOL <= _RUN.trace
+    _RUN.steps, _RUN.trace = _RUN.steps[-1:] + [(t, y.copy())], trace
+    return -1 if stop else 0
 
 
 def efficiency_timestepping(rho0: np.ndarray, model: TransportModel) -> EfficiencyResult:
@@ -448,18 +454,20 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel) -> Efficien
     decays at least at rate 2 Gamma). With Gamma == 0 a fallback horizon is
     used and the returned eta is a lower bound whenever residual_trace > 0.
 
-    Hairer's compiled DOP853 (scipy's ``ode``) runs the step loop and calls
-    back once per accepted step and once per stage, for the product that
-    ``_product`` hands straight to scipy's CSR kernel. One solver serves
-    every call in a process, behind a lock. Its step size is under
-    Gustafsson's PI control at STEP_BETA = 0.04, which rejects fewer steps:
-    on the four oracle-tree5 cells of draw 1 at seed 424242 the
-    right-hand-side calls fell from 58,452 to 51,320 (-12.2%), and over 42
-    cells of seeds 1-10 by 13.9%. RTOL, ATOL, TRACE_TOL and STEP_BETA are
-    fixed constants; no flag or argument changes them. After the first
-    accepted step that ends below TRACE_TOL, the crossing is found on the
-    cubic Hermite interpolant of that step, whose end derivatives are the
-    exact A y; its weights sum to 1, so the interpolated state keeps the
+    Hairer's compiled DOP853 (``_dopri853``, called directly) runs the step
+    loop and calls back once per accepted step and once per stage, for the
+    product that ``_product`` hands to scipy's CSR kernel; solves take
+    turns behind a lock. Without scipy.integrate and scipy.optimize loaded,
+    the oracle-tree5 benchmark peaks at 67.8 MB against 89.0 MB, and a
+    process's first tree g=5 solve takes 0.05-0.10 s against 0.22-0.43 s.
+    Its step size is under Gustafsson's PI control (STEP_BETA); its
+    stiffness test, which gives up on the Zeno regime (gamma_phi = 1e4 on
+    the dimer and tree g=3), is off. RTOL, ATOL, TRACE_TOL and STEP_BETA
+    are fixed constants; no flag or argument changes them. After the first
+    accepted step that ends below TRACE_TOL, bisection to adjacent floats
+    on the cubic Hermite interpolant of that step, whose end derivatives
+    are the exact A y, finds the crossing and returns its end below
+    TRACE_TOL; as the interpolant's weights sum to 1, that state keeps the
     budget eta + eta_loss + residual_trace == 1 that A conserves.
     """
     check_density_matrix(rho0)
@@ -471,32 +479,22 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel) -> Efficien
         raise ValueError(f"recomb_rate {model.recomb_rate:g} is too small for time "
                          "stepping: its horizon ln(1/TRACE_TOL) / (2 recomb_rate) "
                          "overflows to inf")
-    from scipy.optimize import brentq
-
     f = _product(_real_map(model, integrals=True))
     nn = n * n
     diag = slice(0, nn, n + 1)  # the diagonal of Z is rho's
+    y_start = np.concatenate([_pack(np.asarray(rho0, dtype=complex)), np.zeros(2)])
+    # Hairer's safety factor, step-size bounds and BETA, no cap on the step
+    # size or first step (0), and IWORK(4) = -1: no stiffness test
+    work, iwork = np.zeros(11 * y_start.size + 21), np.zeros(21, dtype=np.int32)
+    work[1:5], iwork[3] = (0.9, 0.3, 6.0, STEP_BETA), -1
     with _STEPPER_LOCK:
-        solver, run = _stepper()
-        integrator = solver._integrator
-        # the step cap and Hairer's BETA, read at each reset
-        integrator.nsteps, integrator.beta = MAX_STEPS, STEP_BETA
-        solver.set_initial_value(
-            np.concatenate([_pack(np.asarray(rho0, dtype=complex)), np.zeros(2)]))
-        # IWORK(4) = -1 turns off Hairer's stiffness test, which gives up on
-        # the Zeno regime (gamma_phi = 1e4 on the dimer and tree g=3) that the
-        # stepper resolves; scipy exposes it only through the work array that
-        # set_initial_value allocates
-        integrator.iwork[3] = -1
-        run.f, run.diag, run.steps, run.trace = f, diag, [], -math.inf
+        _RUN.f, _RUN.diag, _RUN.steps, _RUN.trace = f, diag, [], -math.inf
         try:
-            with warnings.catch_warnings():
-                # scipy warns of a failure that the IntegrationError below reports
-                warnings.simplefilter("ignore", UserWarning)
-                y_end = solver.integrate(t_max)
-            t_end, code, steps = float(solver.t), solver.get_return_code(), run.steps
+            t_end, y_end, code = _dopri853()(_rhs, 0.0, y_start, t_max, RTOL, ATOL,
+                                             _solout, 1, work, iwork, MAX_STEPS, -1, ())
+            steps = _RUN.steps
         finally:
-            run.__dict__.clear()  # the callbacks outlive the run
+            _RUN.__dict__.clear()  # the callbacks outlive the run
     if code < 0:
         raise IntegrationError(f"integration failed: DOP853 return code {code}", t_end)
     if code == 2:  # solout stopped it at the crossing
@@ -509,8 +507,10 @@ def efficiency_timestepping(rho0: np.ndarray, model: TransportModel) -> Efficien
             return ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * h * f0
                     + (3 * s2 - 2 * s3) * y1 + (s3 - s2) * h * f1)
 
-        s = brentq(lambda s: hermite(s)[diag].sum() - TRACE_TOL, 0.0, 1.0)
-        t_end, y_end = t0 + s * h, hermite(s)
+        lo, hi = 0.0, 1.0  # the trace at lo is >= TRACE_TOL, at hi below it
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (lo, mid) if hermite(mid)[diag].sum() < TRACE_TOL else (mid, hi)
+        t_end, y_end = t0 + hi * h, hermite(hi)
     eta = 2.0 * model.trap_rate * y_end[nn]
     eta_loss = 2.0 * model.recomb_rate * y_end[nn + 1]
     residual = y_end[diag].sum()

@@ -177,17 +177,44 @@ def test_propagate_validates_inputs(monkeypatch):
             propagate_pure(np.array([1.0 + 0j, 0.0]), m, t_final)
 
 
-def test_importing_the_package_leaves_scipy_integrate_unloaded():
-    # only time stepping needs solve_ivp; start-up of every other path
-    # should not pay for importing it
+def run_python(code):
+    """stdout of a fresh interpreter that runs code with enaqt importable."""
     src = os.path.dirname(os.path.dirname(dynamics.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, enaqt, enaqt.cli; "
-            "print('scipy.integrate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+STEP_DIMER = ("from enaqt.dynamics import efficiency_timestepping as step; "
+              "from enaqt.graph import build_custom; "
+              "from enaqt.model import TransportModel, initial_state, SINGLE_SITE; "
+              "g = build_custom(2, [(0, 1)]); "
+              "m = TransportModel(topology=g, site_energies=(0.0, 0.5), trap_site=1, "
+              "trap_rate=1.0, recomb_rate=0.01, dephasing_rate=0.3); "
+              "rho0 = initial_state(g, SINGLE_SITE, site=0); ")
+UNLOADED = "; print([m in sys.modules for m in ('scipy.integrate', 'scipy.optimize')])"
+
+
+def test_importing_the_package_leaves_scipy_integrate_unloaded():
+    # only trajectories need solve_ivp; start-up of every other path
+    # should not pay for importing it
+    assert run_python("import sys, enaqt, enaqt.cli; "
+                      "print('scipy.integrate' in sys.modules)").strip() == "False"
+    # time stepping loads Hairer's DOP853 alone, not the packages around it
+    assert run_python("import sys; " + STEP_DIMER + "step(rho0, m)"
+                      + UNLOADED).strip() == "[False, False]"
+    cli = ("import sys; from enaqt.cli import main; main(['single', '--graph', "
+           "'binary-tree', '--generations', '3', '--solver', 'timestepping'])")
+    assert run_python(cli + UNLOADED).splitlines()[-1] == "[False, False]"
+    # after propagate, which imports scipy.integrate, time stepping runs the
+    # DOP853 that scipy loaded, with the bits of a fresh process
+    fresh = run_python(STEP_DIMER + "print(repr(step(rho0, m)))")
+    after = run_python(
+        "import sys; from enaqt.dynamics import propagate; " + STEP_DIMER
+        + "propagate(rho0, m, 1.0, n_points=2); "
+        "assert 'scipy.integrate._dop' in sys.modules; print(repr(step(rho0, m)))")
+    assert after == fresh
 
 
 def test_integration_error_reports_the_last_accepted_time():
@@ -315,8 +342,8 @@ def test_trap_in_another_component_gives_positive_zero():
 def test_timestepping_keeps_no_trajectory():
     # the run itself peaks near 0.1 MB; its states at about 1,800 steps of
     # 227 reals would take 3.2 MB, and DOP853's dense output of every step
-    # near 30 MB. A first run, untraced, imports scipy.integrate, which
-    # would count 10 MB
+    # near 30 MB. A first run, untraced, makes the one-time loads and
+    # caches (the compiled DOP853, the graph's entry list)
     rho0 = initial_state(TREE4, LEAF_MIXTURE)
     m = TransportModel(topology=TREE4, site_energies=(0.0,) * 15, trap_site=0,
                        trap_rate=1.0, recomb_rate=0.01, dephasing_rate=0.01)
@@ -332,10 +359,9 @@ def test_timestepping_keeps_no_trajectory():
 
 def test_timestepping_leaves_no_state_sized_memory_behind():
     # scipy's compiled DOP853 keeps a reference to the callbacks of each
-    # run: with a new solver per call, each tree g=3 call left 1.7 kB
+    # run: with new callbacks per call, each tree g=3 call left 1.7 kB
     # behind, and callbacks that reached the map, the states and the work
-    # arrays would leave several kB; one solver with fixed callbacks left
-    # 37-46 B a call over 100 calls
+    # arrays would leave several kB; fixed callbacks left 26-46 B a call
     tree3 = build_binary_tree(3)
     rho0 = initial_state(tree3, LEAF_MIXTURE)
     m = TransportModel(topology=tree3, site_energies=(0.0,) * 7, trap_site=0,
@@ -448,6 +474,17 @@ def test_compiled_stepper_matches_the_solve_ivp_reference(rho0, m):
     assert abs(got.eta_loss - want.eta_loss) < 1e-9
 
 
+@pytest.mark.parametrize("rho0,m", [case for case in REFERENCE_CASES
+                                     if case.id.startswith("tree5-")])
+def test_the_crossing_lands_just_below_the_trace_tolerance(rho0, m):
+    # bisection to adjacent floats on the interpolant of the last step ends
+    # on the side below TRACE_TOL, within about 1e-23 of it on these cells
+    res = efficiency_timestepping(rho0, m)
+    assert res.horizon < math.log(1.0 / TRACE_TOL) / (2.0 * m.recomb_rate)
+    assert res.residual_trace < TRACE_TOL
+    assert TRACE_TOL - res.residual_trace <= 1e-21
+
+
 def test_step_control_saves_right_hand_side_calls(monkeypatch):
     # Gustafsson's PI control removes most rejected steps: on this cell
     # 21,103 calls fell to 18,772 (-11.0%, scipy 1.17.1; -7.5% to -13.7%
@@ -531,8 +568,7 @@ def test_timestepping_rejects_a_horizon_that_overflows(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the stepper ran with an infinite horizon")
 
-    monkeypatch.setattr("scipy.integrate.ode", unreachable)
-    monkeypatch.setattr(dynamics, "_stepper", unreachable)
+    monkeypatch.setattr(dynamics, "_dopri853", unreachable)
     m = dimer_model(trap_rate=1.0, recomb_rate=1e-320)
     with pytest.raises(ValueError, match=r"recomb_rate .* horizon .* overflows"):
         efficiency_timestepping(initial_state(DIMER, SINGLE_SITE, site=0), m)
