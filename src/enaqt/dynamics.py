@@ -418,14 +418,20 @@ _RUN = SimpleNamespace()
 @functools.cache
 def _dopri853():
     """``dopri853`` of scipy's ``_dop`` extension, Hairer's compiled DOP853:
-    the one scipy.integrate loaded, else the extension file alone."""
+    the one scipy.integrate loaded, else the extension file alone. Its
+    signature, with nsteps and verbosity, is that of scipy 1.17 on."""
+    if np.lib.NumpyVersion(scipy.__version__) < "1.17.0":
+        raise ImportError(f"time stepping needs scipy >= 1.17, found {scipy.__version__}")
     module = sys.modules.get("scipy.integrate._dop")
     if module is None:
         stem = os.path.join(os.path.dirname(scipy.__file__), "integrate", "_dop")
-        path = next(stem + x for x in importlib.machinery.EXTENSION_SUFFIXES
-                    if os.path.isfile(stem + x))
-        spec = importlib.util.spec_from_file_location("scipy.integrate._dop", path)
+        paths = [stem + x for x in importlib.machinery.EXTENSION_SUFFIXES
+                 if os.path.isfile(stem + x)]
+        if not paths:
+            raise ImportError(f"scipy {scipy.__version__} has no DOP853 extension {stem}")
+        spec = importlib.util.spec_from_file_location("scipy.integrate._dop", paths[0])
         module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # a later scipy.integrate reuses it
         spec.loader.exec_module(module)
     return module.dopri853
 

@@ -215,6 +215,14 @@ def test_importing_the_package_leaves_scipy_integrate_unloaded():
         + "propagate(rho0, m, 1.0, n_points=2); "
         "assert 'scipy.integrate._dop' in sys.modules; print(repr(step(rho0, m)))")
     assert after == fresh
+    # and scipy.integrate, imported after a stepped solve, reuses the
+    # extension that time stepping loaded
+    around = run_python(
+        "import sys; from enaqt.dynamics import propagate, _dopri853; " + STEP_DIMER
+        + "print(repr(step(rho0, m))); propagate(rho0, m, 1.0, n_points=2); "
+        "assert sys.modules['scipy.integrate._dop'].dopri853 is _dopri853(); "
+        "print(repr(step(rho0, m)))")
+    assert around == fresh * 2
 
 
 def test_integration_error_reports_the_last_accepted_time():
@@ -454,35 +462,31 @@ def lossless_dimer(gamma_phi):
 
 
 REFERENCE_CASES = [
-    # the oracle-tree5 cells of draws 0-3; the ordered ones repeat in each draw
-    *[pytest.param(initial_state(TREE5, LEAF_MIXTURE), tree5_oracle_cell(0.0, g, 0),
+    # the oracle-tree5 cells of draws 0-3, which stop on the trace (True);
+    # the ordered ones repeat in each draw
+    *[pytest.param(initial_state(TREE5, LEAF_MIXTURE), tree5_oracle_cell(0.0, g, 0), True,
                    id=f"tree5-ordered-dephasing{g:g}") for g in (0.01, 1.0)],
-    *[pytest.param(initial_state(TREE5, LEAF_MIXTURE), tree5_oracle_cell(1.0, g, k),
+    *[pytest.param(initial_state(TREE5, LEAF_MIXTURE), tree5_oracle_cell(1.0, g, k), True,
                    id=f"tree5-draw{k}-dephasing{g:g}") for k in range(4) for g in (0.01, 1.0)],
-    *[pytest.param(case.values[-1], hard_case_model(*case.values[:-1]), id=case.id)
+    *[pytest.param(case.values[-1], hard_case_model(*case.values[:-1]), False, id=case.id)
       for case in ORACLE_HARD_CASES if case.id.startswith(("zeno-", "ep-"))],
     # Gamma = 0: the fallback horizon, which trapping empties the dimer before
-    *[pytest.param(initial_state(DIMER, SINGLE_SITE, site=1), lossless_dimer(g),
+    *[pytest.param(initial_state(DIMER, SINGLE_SITE, site=1), lossless_dimer(g), False,
                    id=f"lossless-dimer-dephasing{g:g}") for g in (0.0, 0.3)],
 ]
 
 
-@pytest.mark.parametrize("rho0,m", REFERENCE_CASES)
-def test_compiled_stepper_matches_the_solve_ivp_reference(rho0, m):
+@pytest.mark.parametrize("rho0,m,on_trace", REFERENCE_CASES)
+def test_compiled_stepper_matches_the_solve_ivp_reference(rho0, m, on_trace):
     got, want = efficiency_timestepping(rho0, m), reference_timestepping(rho0, m)
     assert abs(got.eta - want.eta) < 1e-9
     assert abs(got.eta_loss - want.eta_loss) < 1e-9
-
-
-@pytest.mark.parametrize("rho0,m", [case for case in REFERENCE_CASES
-                                     if case.id.startswith("tree5-")])
-def test_the_crossing_lands_just_below_the_trace_tolerance(rho0, m):
-    # bisection to adjacent floats on the interpolant of the last step ends
-    # on the side below TRACE_TOL, within about 1e-23 of it on these cells
-    res = efficiency_timestepping(rho0, m)
-    assert res.horizon < math.log(1.0 / TRACE_TOL) / (2.0 * m.recomb_rate)
-    assert res.residual_trace < TRACE_TOL
-    assert TRACE_TOL - res.residual_trace <= 1e-21
+    if on_trace:
+        # bisection to adjacent floats on the interpolant of the last step
+        # ends on the side below TRACE_TOL, within about 1e-23 of it here
+        assert got.horizon < math.log(1.0 / TRACE_TOL) / (2.0 * m.recomb_rate)
+        assert got.residual_trace < TRACE_TOL
+        assert TRACE_TOL - got.residual_trace <= 1e-21
 
 
 def test_step_control_saves_right_hand_side_calls(monkeypatch):
@@ -572,6 +576,13 @@ def test_timestepping_rejects_a_horizon_that_overflows(monkeypatch):
     m = dimer_model(trap_rate=1.0, recomb_rate=1e-320)
     with pytest.raises(ValueError, match=r"recomb_rate .* horizon .* overflows"):
         efficiency_timestepping(initial_state(DIMER, SINGLE_SITE, site=0), m)
+
+
+def test_timestepping_names_the_scipy_it_needs(monkeypatch):
+    # scipy before 1.17 called its compiled DOP853 with another signature
+    monkeypatch.setattr(dynamics.scipy, "__version__", "1.15.3")
+    with pytest.raises(ImportError, match=r"scipy >= 1\.17, found 1\.15\.3"):
+        dynamics._dopri853.__wrapped__()
 
 
 @pytest.mark.parametrize("gamma_phi", [0.0, 0.3])
